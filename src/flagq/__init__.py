@@ -2,7 +2,6 @@
 
 from .qhring import (
     classical_product,
-    expand_in_generators,
     gr_alpha,
     peterson_woodward_lift,
     psi_alpha,
@@ -16,7 +15,6 @@ from .ktheory import k_cup_special, pi_star, qk_conjecture_product, qk_seidel
 
 __all__ = [
     "classical_product",
-    "expand_in_generators",
     "gr_alpha",
     "k_cup_special",
     "peterson_woodward_lift",

@@ -3,7 +3,8 @@
 Subcommands: product, k-product, qk-conjecture, table, verify, reduce,
 explore.  Output is deterministic: terms sorted by q-degree lexicographically,
 then by the one-line form of the permutation.  Exit status 0 on success, 1
-when a verification sweep finds a counterexample, 2 on usage errors.
+when a verification sweep finds a counterexample, 2 on usage errors, 3 on an
+internal error (a fault in flagq, never in the input).
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from . import ktheory, qhring, rootsys, seidel, table, weyl
@@ -20,7 +22,7 @@ SCHEMA = 1
 
 
 class UsageError(Exception):
-    pass
+    """Invalid command-line input; reported with exit status 2."""
 
 
 # --- rendering -------------------------------------------------------------
@@ -77,13 +79,28 @@ def parse_perm(args, n: int, flag: str):
     if one_line is not None and word is not None:
         raise UsageError(f"--{flag} and --{flag}-word are mutually exclusive")
     if one_line is not None:
-        u = weyl.perm_from_string(one_line)
+        u = user_input(f"--{flag}", lambda: weyl.perm_from_string(one_line))
         if len(u) != n:
             raise UsageError(f"--{flag} has {len(u)} entries, expected {n}")
         return u
     if word is not None:
-        return weyl.from_word(weyl.word_from_string(word), n)
+        return user_input(
+            f"--{flag}-word", lambda: weyl.from_word(weyl.word_from_string(word), n)
+        )
     raise UsageError(f"one of --{flag} or --{flag}-word is required")
+
+
+def user_input(what: str, parse):
+    """parse(), with the ValueError of malformed input turned into a UsageError."""
+    try:
+        return parse()
+    except ValueError as e:
+        raise UsageError(f"{what}: {e}") from None
+
+
+def check_hook(args) -> None:
+    if not 1 <= args.hook <= args.n - 1:
+        raise UsageError(f"--hook must be between 1 and {args.n - 1}")
 
 
 def add_perm_args(sub, *flags):
@@ -112,7 +129,8 @@ def cmd_product(args) -> int:
     if cdir:
         path = cdir / f"table_n{n}.txt"
         if path.exists():
-            cls = table.StructureTable.load(path).get(u, v)
+            cached = user_input("cache table", lambda: table.StructureTable.load(path))
+            cls = cached.get(u, v)
     if cls is None:
         cls = qhring.quantum_product(u, v)
     emit({"n": n, "terms": class_to_json(cls)}, render_class(cls), args.format)
@@ -120,6 +138,7 @@ def cmd_product(args) -> int:
 
 
 def cmd_k_product(args) -> int:
+    check_hook(args)
     cls = ktheory.k_cup_special(args.hook, parse_perm(args, args.n, "v"))
     emit(
         {"n": args.n, "terms": class_to_json(cls)},
@@ -131,12 +150,24 @@ def cmd_k_product(args) -> int:
 
 def cmd_qk_conjecture(args) -> int:
     n = args.n
+    check_hook(args)
     u = parse_perm(args, n, "u")
-    cls = ktheory.qk_conjecture_product(args.hook, u)
     if args.project:
-        dp = sorted(int(p) for p in args.project.replace(",", " ").split())
+        dp = user_input(
+            "--project",
+            lambda: sorted(int(p) for p in args.project.replace(",", " ").split()),
+        )
+        missing = [i for i in range(1, n) if i not in dp]
+        if len(missing) != 1 or len(dp) != n - 2:
+            raise UsageError(f"--project must list every index 1..{n - 1} but one")
+    try:
+        cls = ktheory.qk_conjecture_product(args.hook, u)
+    except ktheory.ConjectureViolation as e:
+        print(f"flagq: counterexample: {e}", file=sys.stderr)
+        return 1
+    if args.project:
         proj = ktheory.pi_star(dp, cls)
-        k = next(i for i in range(1, n) if i not in dp)
+        k = missing[0]
         rows = ktheory.partition_labels(proj, k)
         lines = []
         jrows = []
@@ -214,7 +245,9 @@ def cmd_reduce(args) -> int:
     u = parse_perm(args, n, "u")
     v = parse_perm(args, n, "v")
     w = parse_perm(args, n, "w")
-    lam = rootsys.degree_from_string(getattr(args, "lambda"), n)
+    lam = user_input(
+        "--lambda", lambda: rootsys.degree_from_string(getattr(args, "lambda"), n)
+    )
     trace = qhring.reduce_trace(u, v, w, lam)
     if args.format == "json":
         print(
@@ -243,6 +276,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    if not 1 <= args.i <= args.j <= args.n - 1:
+        raise UsageError(f"--i and --j need 1 <= i <= j <= {args.n - 1}")
     rows = seidel.explore_classical_equality(args.n, args.i, args.j)
     if args.format == "json":
         print(json.dumps({"schema": SCHEMA, "n": args.n, "rows": rows}, sort_keys=True))
@@ -328,8 +363,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as e:
         parser.exit(2, f"flagq: {e}\n")
-    except ValueError as e:
-        parser.exit(2, f"flagq: {e}\n")
+    except Exception as e:
+        traceback.print_exc()
+        parser.exit(3, f"flagq: internal error: {type(e).__name__}: {e}\n")
 
 
 if __name__ == "__main__":

@@ -1,21 +1,22 @@
 """The QH*(Fl_n) engine.
 
-Elements are sparse maps (degree vector, permutation) -> coefficient.  The
-only multiplication rule built in is the quantum Chevalley formula (product
-with a divisor class sigma^{s_i}); everything else is obtained by expanding a
-Schubert class as an exact rational combination of Chevalley words applied to
-the identity class, which closes the ring because divisor classes generate.
+Elements are sparse maps (degree vector, permutation) -> integer
+coefficient.  The only multiplication rule built in is the quantum Chevalley
+formula (product with a divisor class sigma^{s_i}).  Differences of two
+Chevalley operators give the quantum Monk operators X_r of Fomin, Gelfand
+and Postnikov, and the Lascoux-Schutzenberger transition step writes every
+sigma^w != sigma^id as X_r sigma^v plus classes that are shorter, or as long
+and lexicographically larger.  Products follow by an integer recursion on
+the shorter factor, memoized per rank.
 
-The same machinery with the quantum terms switched off yields the classical
+The same recursion with the quantum terms switched off yields the classical
 cup product, which agrees with the q=0 truncation of the quantum product.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from . import rootsys, weyl
 from .reporting import VerifyReport
@@ -23,12 +24,7 @@ from .rootsys import Root
 from .weyl import DegreeVector, Permutation, identity, length, sgn_alpha
 
 # a QClass: finite formal sum of coefficients on (degree, permutation) pairs
-QClass = dict[tuple[DegreeVector, Permutation], Fraction]
-BasisKey = tuple[DegreeVector, Permutation]
-
-
-class NotInSpanError(RuntimeError):
-    """The generator expansion failed; indicates an engine bug."""
+QClass = dict[tuple[DegreeVector, Permutation], int]
 
 
 def qclass(u: Permutation, lam: Optional[DegreeVector] = None) -> QClass:
@@ -55,6 +51,11 @@ def qclass_equal(a: QClass, b: QClass) -> bool:
 
 # --- quantum Chevalley formula --------------------------------------------
 
+# one shared object per permutation reached by a move, so that the move
+# lists and the product memos do not each hold a copy
+_perms: dict[Permutation, Permutation] = {}
+
+
 @lru_cache(maxsize=None)
 def _chevalley_moves(
     w: Permutation, i: int, quantum: bool
@@ -76,9 +77,9 @@ def _chevalley_moves(
             wp = tuple(wp)
             d = length(wp) - lw
             if d == 1:
-                out.append((None, wp))
+                out.append((None, _perms.setdefault(wp, wp)))
             elif quantum and d == 1 - 2 * (b - a):
-                out.append(((a, b), wp))
+                out.append(((a, b), _perms.setdefault(wp, wp)))
     return tuple(out)
 
 
@@ -105,13 +106,73 @@ def quantum_chevalley(i: int, c: QClass, n: int, quantum: bool = True) -> QClass
     return out
 
 
-# --- generator-expansion engine -------------------------------------------
+# --- transition engine ------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _monk_moves(
+    w: Permutation, r: int, quantum: bool
+) -> tuple[tuple[int, DegreeVector, Permutation], ...]:
+    """X_r sigma^w as (sign, degree, permutation) terms.
+
+    X_r = sigma^{s_r} - sigma^{s_{r-1}} is the quantum Monk operator of
+    Fomin-Gelfand-Postnikov, taken here as the difference of two Chevalley
+    move lists: the moves over (a, b) with a < r < b occur for both divisors
+    and cancel, which leaves +moves over (r, b) with b > r and -moves over
+    (a, r) with a < r.
+    """
+    n = len(w)
+    plus = _chevalley_moves(w, r, quantum)
+    minus = _chevalley_moves(w, r - 1, quantum)
+    out = []
+    for sign, mine, other in ((1, plus, minus), (-1, minus, plus)):
+        for gamma, wp in mine:
+            if (gamma, wp) not in other:
+                lam = _zero(n) if gamma is None else _coroot(gamma, n)
+                out.append((sign, lam, wp))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _transition(
+    w: Permutation, quantum: bool
+) -> tuple[int, Permutation, tuple[tuple[int, DegreeVector, Permutation], ...]]:
+    """(r, v, rest) with sigma^w = X_r sigma^v + rest, for w != id.
+
+    The Lascoux-Schutzenberger step: r is the last descent of w, s the
+    largest position after r with w(s) < w(r), and v = w t_{rs}.  Among the
+    terms of X_r sigma^v the only classical (r, b) move is w itself, so rest
+    is minus every other term: the sigma^{v t_{ar}} with a < r, and the
+    q-terms.  Each rest term is shorter than w, or as long and
+    lexicographically larger, so the recursion on it ends.
+    """
+    n = len(w)
+    r = max(i for i in range(1, n) if w[i - 1] > w[i])
+    s = max(j for j in range(r + 1, n + 1) if w[j - 1] < w[r - 1])
+    v = list(w)
+    v[r - 1], v[s - 1] = v[s - 1], v[r - 1]
+    v = tuple(v)
+    top = (_zero(n), w)
+    rest = tuple(
+        (-sign, lam, x) for sign, lam, x in _monk_moves(v, r, quantum) if (lam, x) != top
+    )
+    return r, v, rest
+
+
+# memoized helpers of the recursion; the degree ones also hand out one shared
+# tuple per value, so that memo entries do not each hold a copy
+_length = lru_cache(maxsize=None)(length)
+_zero = lru_cache(maxsize=None)(rootsys.zero_degree)
+_coroot = lru_cache(maxsize=None)(rootsys.coroot)
+_add_degrees = lru_cache(maxsize=None)(rootsys.add_degrees)
+
 
 class RingEngine:
-    """Per-rank engine holding word-span bases and expansion eliminations.
+    """Per-rank product engine: integer transition recursion, memoized.
 
-    ``quantum=False`` gives the classical cup-product engine (same algorithm
-    with quantum Chevalley moves disabled).
+    sigma^w * sigma^z = sigma^v * (X_r sigma^z) + rest * sigma^z by the
+    transition step of w, recursing on the shorter factor down to the
+    identity.  ``quantum=False`` gives the classical cup-product engine
+    (same recursion with quantum Chevalley moves disabled).
     """
 
     def __init__(self, n: int, quantum: bool = True):
@@ -119,154 +180,48 @@ class RingEngine:
             raise ValueError("rank must be at least 2")
         self.n = n
         self.quantum = quantum
-        # degree -> list of (word, class); words are prefix-closed across degrees
-        self._word_basis: dict[int, list[tuple[tuple[int, ...], QClass]]] = {
-            0: [((), qclass(identity(n)))]
-        }
-        # degree -> elimination rows (pivot, vec, combo)
-        self._rows: dict[int, list] = {}
-        self._expansions: dict[Permutation, list] = {}
-
-    # - word spans -
-    def _build_words(self, d: int) -> None:
-        for dd in range(max(self._word_basis) + 1, d + 1):
-            rows: list = []
-            kept = []
-            for word, cls in self._word_basis[dd - 1]:
-                for i in range(1, self.n):
-                    nc = quantum_chevalley(i, cls, self.n, self.quantum)
-                    vec = {k: Fraction(c) for k, c in nc.items()}
-                    _eliminate(vec, rows)
-                    if vec:
-                        piv = min(vec)
-                        cv = vec[piv]
-                        rows.append((piv, {k: v / cv for k, v in vec.items()}))
-                        kept.append((word + (i,), nc))
-            self._word_basis[dd] = kept
-
-    def _spanning(self, d: int):
-        """Spanning elements (mu, word, class) with <2 rho, mu> + |word| = d."""
-        self._build_words(d)
-        n = self.n
-        for mu in sorted(itertools.product(range(d // 2 + 1), repeat=n - 1)):
-            s2 = 2 * sum(mu)
-            if s2 > d or (not self.quantum and s2 > 0):
-                continue
-            for word, cls in self._word_basis[d - s2]:
-                if s2 == 0:
-                    shifted = cls
-                else:
-                    shifted = {
-                        (rootsys.add_degrees(lam, mu), w): c
-                        for (lam, w), c in cls.items()
-                    }
-                yield mu, word, shifted
-
-    def _expander(self, d: int) -> list:
-        if d not in self._rows:
-            rows: list = []
-            for mu, word, cls in self._spanning(d):
-                vec = {k: Fraction(c) for k, c in cls.items()}
-                combo = {(mu, word): Fraction(1)}
-                _eliminate(vec, rows, combo)
-                if vec:
-                    piv = min(vec)
-                    cv = vec[piv]
-                    rows.append(
-                        (
-                            piv,
-                            {k: v / cv for k, v in vec.items()},
-                            {k: v / cv for k, v in combo.items()},
-                        )
-                    )
-            self._rows[d] = rows
-        return self._rows[d]
-
-    # - public operations -
-    def expand_in_generators(
-        self, u: Permutation
-    ) -> list[tuple[DegreeVector, tuple[int, ...], Fraction]]:
-        """sigma^u = sum of coeff * q_mu * (word applied to sigma^id), exactly."""
-        if u not in self._expansions:
-            rows = self._expander(length(u))
-            vec: dict = {(rootsys.zero_degree(self.n), u): Fraction(1)}
-            combo: dict = {}
-            _eliminate(vec, rows, combo)
-            if vec:
-                raise NotInSpanError(f"class of {u} not spanned at degree {length(u)}")
-            self._expansions[u] = [
-                (mu, word, -c) for (mu, word), c in combo.items() if c
-            ]
-        return self._expansions[u]
-
-    def apply_word(self, word: Sequence[int], cls: QClass) -> QClass:
-        for i in word:
-            cls = quantum_chevalley(i, cls, self.n, self.quantum)
-        return cls
+        self._identity = identity(n)
+        self._zero = _zero(n)
+        # (shorter, longer) -> product as a tuple of (degree, perm, coeff)
+        self._memo: dict[tuple[Permutation, Permutation], tuple] = {}
 
     def product(self, u: Permutation, v: Permutation) -> QClass:
-        """sigma^u * sigma^v via generator expansion of the shorter factor."""
+        """sigma^u * sigma^v as a fresh dict."""
         if len(u) != len(v) or len(u) != self.n:
             raise ValueError("rank mismatch")
-        if length(u) > length(v):
-            u, v = v, u
-        expansion = self.expand_in_generators(u)
-        base = qclass(v)
-        # shared-prefix evaluation: the expansion words are prefix-closed
-        cache: dict[tuple[int, ...], QClass] = {(): base}
+        return {(lam, w): c for lam, w, c in self._mul(u, v)}
 
-        def word_class(word: tuple[int, ...]) -> QClass:
-            if word in cache:
-                return cache[word]
-            cls = quantum_chevalley(
-                word[-1], word_class(word[:-1]), self.n, self.quantum
-            )
-            cache[word] = cls
-            return cls
-
-        out: QClass = {}
-        for mu, word, coeff in expansion:
-            for (lam, w), c in word_class(word).items():
-                key = (rootsys.add_degrees(lam, mu), w)
-                val = out.get(key, 0) + coeff * c
-                if val:
-                    out[key] = val
-                else:
-                    del out[key]
-        return _as_integral(out)
+    def _mul(self, w: Permutation, z: Permutation) -> tuple:
+        """sigma^w * sigma^z as a tuple of (degree, permutation, coeff) terms."""
+        if (_length(w), w) > (_length(z), z):
+            w, z = z, w
+        key = (w, z)
+        got = self._memo.get(key)
+        if got is not None:
+            return got
+        if w == self._identity:
+            got = ((self._zero, z, 1),)
+        else:
+            r, v, rest = _transition(w, self.quantum)
+            out: dict = {}
+            for sign, lam, x in _monk_moves(z, r, self.quantum):
+                _accumulate(out, self._mul(v, x), sign, lam, self._zero)
+            for sign, lam, x in rest:
+                _accumulate(out, self._mul(x, z), sign, lam, self._zero)
+            got = tuple((lam, x, c) for (lam, x), c in out.items())
+        self._memo[key] = got
+        return got
 
 
-def _eliminate(vec: dict, rows: list, combo: Optional[dict] = None) -> None:
-    """Reduce vec (and its spanning-combination bookkeeping) against rows."""
-    for row in rows:
-        piv, rvec = row[0], row[1]
-        c = vec.get(piv)
-        if not c:
-            continue
-        for k, rv in rvec.items():
-            nv = vec.get(k, 0) - c * rv
-            if nv:
-                vec[k] = nv
-            else:
-                vec.pop(k, None)
-        if combo is not None:
-            for k, rv in row[2].items():
-                nv = combo.get(k, 0) - c * rv
-                if nv:
-                    combo[k] = nv
-                else:
-                    combo.pop(k, None)
-
-
-def _as_integral(cls: QClass) -> QClass:
-    out = {}
-    for k, c in cls.items():
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise NotInSpanError(f"non-integral coefficient {c} at {k}")
-            c = c.numerator
-        out[k] = c
-    return out
+def _accumulate(out: dict, terms: tuple, sign: int, shift: DegreeVector, zero) -> None:
+    """out += sign * q^shift * terms, dropping terms that cancel to zero."""
+    for lam, w, c in terms:
+        key = (lam if shift == zero else _add_degrees(lam, shift), w)
+        v = out.get(key, 0) + sign * c
+        if v:
+            out[key] = v
+        else:
+            del out[key]
 
 
 @lru_cache(maxsize=None)
@@ -284,10 +239,6 @@ def quantum_product(u: Permutation, v: Permutation) -> QClass:
 def classical_product(u: Permutation, v: Permutation) -> QClass:
     """Cup product sigma^u cup sigma^v = the q=0 part of the quantum product."""
     return get_engine(len(u), False).product(u, v)
-
-
-def expand_in_generators(u: Permutation):
-    return get_engine(len(u), True).expand_in_generators(u)
 
 
 def structure_constant(
@@ -308,7 +259,7 @@ def check_product_invariants(cls: QClass, degree: int) -> None:
             raise AssertionError(f"negative curve degree {lam} in product")
         if length(w) + rootsys.pair_2rho(lam) != degree:
             raise AssertionError(f"degree axiom violated at {(lam, w)}")
-        if not (isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)):
+        if not isinstance(c, int):
             raise AssertionError(f"non-integral structure constant {c}")
         if c < 0:
             raise AssertionError(f"negative structure constant {c} at {(lam, w)}")

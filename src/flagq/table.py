@@ -4,9 +4,10 @@ Stored as line-oriented text, one record per term:
 
     n u v w lambda coeff
 
-with one-line permutations as concatenated digits and lambda as a
-comma-separated coefficient list; records sorted by (u, v, lambda, w) so
-identical tables are byte-identical.  Lines starting with '#' carry metadata.
+with one-line permutations as concatenated digits (comma-separated from
+n = 10 on) and lambda as a comma-separated coefficient list; records sorted
+by (u, v, lambda, w) so identical tables are byte-identical.  Lines starting
+with '#' carry metadata.
 """
 from __future__ import annotations
 
@@ -42,10 +43,10 @@ class StructureTable:
             lines.append(f"# {key}={val}")
         records = []
         for (u, v), cls in self.entries.items():
-            us, vs = weyl.perm_to_string(u), weyl.perm_to_string(v)
+            us, vs = weyl.perm_to_string(u, ","), weyl.perm_to_string(v, ",")
             for (lam, w), c in cls.items():
                 records.append(
-                    (us, vs, lam, weyl.perm_to_string(w), int(c))
+                    (us, vs, lam, weyl.perm_to_string(w, ","), int(c))
                 )
         for us, vs, lam, ws, c in sorted(set(records)):
             lam_s = ",".join(str(a) for a in lam)

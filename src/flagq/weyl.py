@@ -209,11 +209,12 @@ def partition_to_perm(mu: Sequence[int], k: int, n: int) -> Permutation:
 
 # --- serialization ---------------------------------------------------------
 
-def perm_to_string(u: Permutation) -> str:
-    """One-line form as concatenated digits ("43512"); n <= 9 only."""
-    if len(u) > 9:
-        raise ValueError("concatenated one-line form only supports n <= 9")
-    return "".join(str(x) for x in u)
+def perm_to_string(u: Permutation, sep: str = " ") -> str:
+    """One-line form: concatenated digits ("43512") for n <= 9, else joined by sep.
+
+    Both forms are read back by perm_from_string.
+    """
+    return ("" if len(u) <= 9 else sep).join(str(x) for x in u)
 
 
 def perm_from_string(s: str) -> Permutation:

@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -54,31 +53,6 @@ def test_chevalley_degree_axiom():
     out = qhring.quantum_chevalley(2, c, n)
     for (lam, w) in out:
         assert weyl.length(w) + rootsys.pair_2rho(lam) == 4
-
-
-# --- generator expansion ----------------------------------------------------
-
-def test_expand_in_generators_trivial():
-    n = 4
-    assert qhring.expand_in_generators(weyl.identity(n)) == [((0, 0, 0), (), 1)]
-    exp = qhring.expand_in_generators(weyl.simple_reflection(2, n))
-    assert exp == [((0, 0, 0), (2,), Fraction(1))]
-
-
-def test_expand_in_generators_reapplies():
-    n = 4
-    engine = qhring.get_engine(n, True)
-    for u in [sigma([2, 1], n), sigma([1, 3, 2], n), weyl.longest_element(n)]:
-        acc = {}
-        for mu, word, coeff in engine.expand_in_generators(u):
-            cls = engine.apply_word(word, qhring.qclass(weyl.identity(n)))
-            for (lam, w), c in cls.items():
-                key = (rootsys.add_degrees(lam, mu), w)
-                acc[key] = acc.get(key, 0) + coeff * c
-        acc = {k: c for k, c in acc.items() if c}
-        assert acc == {(rootsys.zero_degree(n), u): 1}
-        for mu, word, _ in engine.expand_in_generators(u):
-            assert len(word) + rootsys.pair_2rho(mu) == weyl.length(u)
 
 
 # --- products ---------------------------------------------------------------

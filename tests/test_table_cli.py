@@ -196,3 +196,67 @@ def test_render_class_edge_cases():
     assert cli.render_class({}) == "0"
     assert cli.render_class({((0, 0), (1, 2, 3)): 1}) == "s[]"
     assert cli.render_class({((1, 0), (2, 1, 3)): -3}) == "-3*q1*s[1]"
+
+
+def test_cli_n10_output():
+    r = run_cli(
+        ["product", "--n", "10", "--u-word", "9", "--v-word", "1", "--format", "json"]
+    )
+    assert r.returncode == 0, r.stderr
+    (term,) = json.loads(r.stdout)["terms"]
+    assert term["w"] == "2 1 3 4 5 6 7 8 10 9"
+    assert weyl.perm_from_string(term["w"]) == weyl.from_word([9, 1], 10)
+    r = run_cli(
+        ["reduce", "--n", "10", "--u-word", "9", "--v-word", "1", "--w-word", "9,1",
+         "--lambda", ",".join("0" * 9), "--format", "json"]
+    )
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["steps"][0]["u"] == "1 2 3 4 5 6 7 8 10 9"
+
+
+def test_table_round_trip_n10(tmp_path):
+    u, v = weyl.simple_reflection(9, 10), weyl.simple_reflection(1, 10)
+    t = table.StructureTable(10)
+    t.put(u, v, qhring.quantum_product(u, v))
+    path = tmp_path / "t10.txt"
+    t.save(path)
+    assert table.StructureTable.load(path).entries == t.entries
+
+
+def test_cli_reduce_n5_finishes():
+    r = run_cli(
+        ["reduce", "--n", "5", "--u", "54321", "--v", "54312", "--w", "21345",
+         "--lambda", "2,3,3,1"]
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip().splitlines()[-1] == "= 0 (vanishing criterion)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--n", "3", "--u", "213", "--v", "213", "--w", "123", "--lambda", "1"],
+        ["product", "--n", "3", "--u-word", "3", "--v", "123"],
+        ["k-product", "--n", "4", "--hook", "4", "--v", "1234"],
+        ["qk-conjecture", "--n", "4", "--hook", "1", "--u", "1234", "--project", "1"],
+        ["explore", "--n", "4", "--i", "3", "--j", "2"],
+    ],
+)
+def test_cli_input_errors_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flagq: ") and "Traceback" not in err
+
+
+def test_cli_engine_fault_is_internal_error(monkeypatch, capsys):
+    def broken(u, v):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(qhring, "quantum_product", broken)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["product", "--n", "3", "--u", "213", "--v", "132"])
+    assert exit_info.value.code == 3
+    err = capsys.readouterr().err
+    assert err.endswith("flagq: internal error: RuntimeError: injected fault\n")
