@@ -11,7 +11,7 @@ from .qhring import (
     structure_constant,
 )
 from .seidel import quantum_pieri, seidel_apply, seidel_power
-from .ktheory import k_cup_special, pi_star, qk_conjecture_product, qk_seidel
+from .ktheory import k_cup_special, pi_star, qk_conjecture_product
 
 __all__ = [
     "classical_product",
@@ -21,7 +21,6 @@ __all__ = [
     "pi_star",
     "psi_alpha",
     "qk_conjecture_product",
-    "qk_seidel",
     "quantum_chevalley",
     "quantum_pieri",
     "quantum_product",

@@ -8,7 +8,7 @@ basis modulo the ideal cutting out K(Fl_n).
 """
 from __future__ import annotations
 
-from . import polynomials, qhring, rootsys, weyl
+from . import polynomials, qhring, rootsys, seidel, weyl
 from .reporting import VerifyReport
 from .weyl import DegreeVector, Permutation
 
@@ -47,42 +47,18 @@ def k_cup_special(m: int, v: Permutation) -> KClass:
     return k_product(weyl.hook(len(v), m), v)
 
 
-def qk_seidel(u: Permutation) -> tuple[DegreeVector, Permutation]:
-    """Conjectural T(O^u) = q_{lambda(u)} O^{u^1}: same data as in cohomology."""
-    return weyl.lambda_of(u), weyl.multiply(weyl.n_cycle(len(u)), u)
-
-
 def qk_conjecture_product(m: int, u: Permutation) -> KClass:
     """Conjectural O^{s_{n-m}...s_{n-1}} * O^u in QK(Fl_n).
 
     Mirrors the cohomological Pieri closed form with K classes: with
     k = n - u(n),
         q_1^{-1} ... q_{n-1}^{1-n} q_{lambda(u,k)}
-            T^{n-k}(k_cup_special(m, u^k)) termwise.
-    A negative final exponent raises ConjectureViolation (it is not asserted
-    impossible).
+            T^{n-k}(k_cup_special(m, u^k)) termwise,
+    where T(O^w) = q_{lambda(w)} O^{w^1} carries the cohomological Seidel data
+    (``seidel.seidel_conjugate``).  A negative final exponent raises
+    ConjectureViolation (it is not asserted impossible).
     """
-    n = len(u)
-    k = n - u[-1]
-    base = weyl.lambda_cumulative(u, k)
-    prefactor = tuple(-i for i in range(1, n))
-    cup = k_cup_special(m, weyl.u_up(u, k))
-    out: KClass = {}
-    for (lam, w), c in cup.items():
-        shift = weyl.lambda_cumulative(w, n - k)
-        w_up = weyl.u_up(w, n - k)
-        q = tuple(a + b + p for a, b, p in zip(shift, base, prefactor))
-        if min(q, default=0) < 0:
-            raise ConjectureViolation(
-                f"negative exponent {q} at term {w} for m={m}, u={u}"
-            )
-        key = (q, w_up)
-        v = out.get(key, 0) + c
-        if v:
-            out[key] = v
-        else:
-            del out[key]
-    return out
+    return seidel.seidel_conjugate(m, u, k_product, ConjectureViolation)
 
 
 # --- projection to G/P ------------------------------------------------------

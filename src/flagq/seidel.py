@@ -2,14 +2,14 @@
 
 The Seidel operator T is quantum multiplication by sigma^{s_1...s_{n-1}}; on
 the basis it acts by T(sigma^u) = q_{lambda(u)} sigma^{u^1}, where u^1 is the
-left rotation of u and lambda(u) is read off the canonical factorization.
+left rotation of u and lambda(u) is read off the position of n in u.
 Every product with a hook class sigma^{s_{n-m}...s_{n-1}} then reduces to a
 classical cup product conjugated by powers of T.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import qhring, rootsys, weyl
 from .qhring import QClass
@@ -19,7 +19,7 @@ from .weyl import DegreeVector, Permutation
 
 def seidel_apply(u: Permutation) -> tuple[DegreeVector, Permutation]:
     """T(sigma^u) = q_{lambda(u)} sigma^{s_1...s_{n-1} u}."""
-    return weyl.lambda_of(u), weyl.multiply(weyl.n_cycle(len(u)), u)
+    return weyl.lambda_of(u), weyl.u_up(u, 1)
 
 
 def seidel_power(u: Permutation, k: int) -> tuple[DegreeVector, Permutation]:
@@ -45,39 +45,53 @@ class PieriResult:
         return qhring.qclass_equal(self.closed_form, self.engine_form)
 
 
-def quantum_pieri(m: int, u: Permutation, engine_check: bool = False) -> PieriResult:
-    """sigma^{s_{n-m}...s_{n-1}} * sigma^u by the Seidel closed form.
+def seidel_conjugate(
+    m: int,
+    u: Permutation,
+    cup: Callable[[Permutation, Permutation], QClass],
+    error: type[Exception],
+) -> QClass:
+    """The hook product sigma^{s_{n-m}...s_{n-1}} * sigma^u by Seidel conjugation.
 
-    With k = n - u(n):
+    With k = n - u(n),
         q_1^{-1} q_2^{-2} ... q_{n-1}^{1-n} q_{lambda(u,k)}
-            T^{n-k}(sigma^{s_{n-m}...s_{n-1}} cup sigma^{u^k}),
-    computed termwise from the classical cup product.  The inverse prefactor
-    must divide out exactly; a negative final exponent raises.
+            T^{n-k}(cup(s_{n-m}...s_{n-1}, u^k)),
+    computed termwise from the classical product ``cup`` (cohomology or K
+    theory).  The inverse prefactor must divide out exactly; a negative final
+    exponent raises ``error``.
     """
     n = len(u)
     k = n - u[-1]
     base = weyl.lambda_cumulative(u, k)
     prefactor = tuple(-i for i in range(1, n))
-    cup = qhring.classical_product(weyl.hook(n, m), weyl.u_up(u, k))
     out: QClass = {}
     zero = rootsys.zero_degree(n)
-    for (lam, w), c in cup.items():
+    for (lam, w), c in cup(weyl.hook(n, m), weyl.u_up(u, k)).items():
         assert lam == zero
         shift, w_up = seidel_power(w, n - k)
         q = tuple(a + b + p for a, b, p in zip(shift, base, prefactor))
         if min(q, default=0) < 0:
-            raise PieriFormulaError(
-                f"negative exponent {q} at term {w} for m={m}, u={u}"
-            )
+            raise error(f"negative exponent {q} at term {w} for m={m}, u={u}")
         key = (q, w_up)
         v = out.get(key, 0) + c
         if v:
             out[key] = v
         else:
             del out[key]
-    result = PieriResult(out)
+    return out
+
+
+def quantum_pieri(m: int, u: Permutation, engine_check: bool = False) -> PieriResult:
+    """sigma^{s_{n-m}...s_{n-1}} * sigma^u by the Seidel closed form.
+
+    ``seidel_conjugate`` of the classical cup product; a prefactor that fails
+    to divide raises PieriFormulaError.
+    """
+    result = PieriResult(
+        seidel_conjugate(m, u, qhring.classical_product, PieriFormulaError)
+    )
     if engine_check:
-        result.engine_form = qhring.quantum_product(weyl.hook(n, m), u)
+        result.engine_form = qhring.quantum_product(weyl.hook(len(u), m), u)
     return result
 
 

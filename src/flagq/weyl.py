@@ -9,6 +9,7 @@ transposition therefore swaps two *positions* of the one-line form.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 Permutation = tuple[int, ...]
@@ -72,7 +73,7 @@ def hook(n: int, m: int) -> Permutation:
     """The special permutation s_{n-m} s_{n-m+1} ... s_{n-1}, 1 <= m <= n-1."""
     if not 1 <= m <= n - 1:
         raise ValueError(f"hook size {m} out of range for n={n}")
-    return from_word(range(n - m, n), n)
+    return (*range(1, n - m), *range(n - m + 1, n + 1), n - m)
 
 
 def sgn_alpha(u: Permutation, i: int) -> int:
@@ -86,27 +87,22 @@ def descent_set(u: Permutation) -> tuple[int, ...]:
     return tuple(i for i in range(1, len(u)) if u[i - 1] > u[i])
 
 
-# --- canonical factorization ----------------------------------------------
+# --- canonical factorization and the rotation u -> u^1 --------------------
 #
 # Every u factors uniquely as u^{(n-1)}_{j_{n-1}} ... u^{(2)}_{j_2} u^{(1)}_{j_1}
 # with u^{(m)}_j = s_{m-j+1} ... s_{m-1} s_m and 0 <= j_m <= m, the concatenated
-# word being reduced.  The top block is peeled off by locating where n sits:
-# u^{(m+1)}_j sends m+1 to m+1-j, so j_m = (m+1) - u(m+1) at each stage.
+# word being reduced.  Peeling the top block relabels values order-preservingly,
+# so j_m is the number of entries left of position m+1 that exceed u(m+1).
+#
+# The rotation u^1 = (s_1 ... s_{n-1}) u adds 1 to every value mod n.  The
+# Seidel degree lambda(u) is alpha^vee_p + ... + alpha^vee_{n-1} with
+# p = u^{-1}(n): T raises degree by n-1, and l(u^1) - l(u) = 2p - n - 1 since
+# only the pairs containing the value n change, so an interval ending at n-1
+# must start at p.  It is zero exactly when p = n.
 
 def canonical_factorization(u: Permutation) -> tuple[int, ...]:
     """The exponent sequence (j_1, ..., j_{n-1}) of the canonical factorization."""
-    n = len(u)
-    cur = list(u)
-    js = []
-    for m in range(n - 1, 0, -1):
-        j = (m + 1) - cur[m]
-        js.append(j)
-        # strip the block: cur <- (u^{(m)}_j)^{-1} cur
-        block_inv = identity(n)
-        for i in range(m, m - j, -1):
-            block_inv = multiply(block_inv, simple_reflection(i, n))
-        cur = list(multiply(block_inv, tuple(cur)))
-    return tuple(reversed(js))
+    return tuple(sum(1 for x in u[:m] if x > u[m]) for m in range(1, len(u)))
 
 
 def canonical_word(u: Permutation) -> tuple[int, ...]:
@@ -121,39 +117,34 @@ def canonical_word(u: Permutation) -> tuple[int, ...]:
 def lambda_of(u: Permutation) -> DegreeVector:
     """The curve degree picked up by the Seidel operator on the class of u.
 
-    Zero iff u(n) = n; otherwise the 0/1 interval vector supported on
-    [l, n-1] with l = max{i : j_i > 0, j_{i-1} = 0} of the canonical
-    factorization.
+    The 0/1 interval vector supported on [u^{-1}(n), n-1]; zero iff u(n) = n.
     """
-    n = len(u)
-    if u[-1] == n:
-        return (0,) * (n - 1)
-    js = (0,) + canonical_factorization(u)
-    l = max(i for i in range(1, n) if js[i] > 0 and js[i - 1] == 0)
-    return tuple(1 if i >= l else 0 for i in range(1, n))
+    p = u.index(len(u)) + 1
+    return tuple(1 if i >= p else 0 for i in range(1, len(u)))
 
 
 def u_up(u: Permutation, k: int) -> Permutation:
     """(s_1 s_2 ... s_{n-1})^k u; periodic in k with period n."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    c = n_cycle(len(u))
-    r = u
-    for _ in range(k % len(u)):
-        r = multiply(c, r)
-    return r
+    n = len(u)
+    return tuple((x - 1 + k) % n + 1 for x in u)
 
 
 def lambda_cumulative(u: Permutation, k: int) -> DegreeVector:
-    """Sum of lambda_of(u_up(u, j)) over 0 <= j < k."""
+    """Sum of lambda_of(u_up(u, j)) over 0 <= j < k.
+
+    u_up(u, j) puts n where u has ((n-1-j) mod n) + 1, so entry i counts the
+    j < k for which that value sits at a position <= i.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     n = len(u)
-    total = [0] * (n - 1)
-    r = u
-    for _ in range(k):
-        for idx, val in enumerate(lambda_of(r)):
-            total[idx] += val
-        r = multiply(n_cycle(n), r)
-    return tuple(total)
+    at = inverse(u)
+    hits = [0] * n
+    for j in range(k):
+        hits[at[(n - 1 - j) % n] - 1] += 1
+    return tuple(accumulate(hits[:-1]))
 
 
 # --- Bruhat order and Grassmannian-type permutations -----------------------

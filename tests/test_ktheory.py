@@ -34,14 +34,6 @@ def test_k_invariants_n3_n4():
     assert r.ok, r.counterexamples[:2]
 
 
-def test_qk_seidel_matches_cohomology_operator():
-    from flagq import seidel
-
-    for n in (3, 4, 5):
-        for u in weyl.all_permutations(n):
-            assert ktheory.qk_seidel(u) == seidel.seidel_apply(u)
-
-
 def test_qk_conjecture_fl4_golden():
     n = 4
     out = ktheory.qk_conjecture_product(2, w([2, 3, 2, 1], n))
