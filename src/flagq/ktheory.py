@@ -12,18 +12,11 @@ from . import polynomials, qhring, rootsys, seidel, weyl
 from .reporting import VerifyReport
 from .weyl import DegreeVector, Permutation
 
-KClass = dict[tuple[DegreeVector, Permutation], int]
+KClass = qhring.QClass
 
 
 class ConjectureViolation(RuntimeError):
     """The conjectural q-prefactor failed to divide for some input."""
-
-
-def k_class(u: Permutation, lam: DegreeVector | None = None) -> KClass:
-    n = len(u)
-    if lam is None:
-        lam = rootsys.zero_degree(n)
-    return {(lam, u): 1}
 
 
 def k_product(u: Permutation, v: Permutation) -> KClass:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from operator import lt
 
 from .weyl import Permutation
 
@@ -72,14 +74,19 @@ def pmul(f: Poly, g: Poly) -> Poly:
     return {k: c for k, c in out.items() if c}
 
 
+def accumulate(f: Poly, g: Poly, scale: int = 1) -> None:
+    """f += scale * g in place, dropping coefficients that cancel."""
+    for k, c in g.items():
+        v = f.get(k, 0) + scale * c
+        if v:
+            f[k] = v
+        else:
+            f.pop(k, None)
+
+
 def padd(f: Poly, g: Poly, scale: int = 1) -> Poly:
     out = dict(f)
-    for k, c in g.items():
-        v = out.get(k, 0) + scale * c
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
+    accumulate(out, g, scale)
     return out
 
 
@@ -116,6 +123,15 @@ def isobaric_diff(f: Poly, i: int) -> Poly:
     return divided_diff(padd(f, pmul(xvar(i + 1), f), -1), i)
 
 
+# one shared tuple per exponent vector, so that the Schubert and Grothendieck
+# memos do not each hold a copy
+_monomials: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
+def _shared(f: Poly) -> Poly:
+    return {_monomials.setdefault(k, k): c for k, c in f.items()}
+
+
 @lru_cache(maxsize=None)
 def schubert(w: Permutation) -> Poly:
     """Schubert polynomial S_w, indexed by a trimmed permutation."""
@@ -129,7 +145,7 @@ def schubert(w: Permutation) -> Poly:
         if w[i - 1] < w[i]:
             wsi = list(w)
             wsi[i - 1], wsi[i] = wsi[i], wsi[i - 1]
-            return divided_diff(schubert(tuple(wsi)), i)
+            return _shared(divided_diff(schubert(tuple(wsi)), i))
     raise AssertionError("unreachable: w has an ascent unless w = w_0")
 
 
@@ -146,7 +162,7 @@ def grothendieck(w: Permutation) -> Poly:
         if w[i - 1] < w[i]:
             wsi = list(w)
             wsi[i - 1], wsi[i] = wsi[i], wsi[i - 1]
-            return isobaric_diff(grothendieck(tuple(wsi)), i)
+            return _shared(isobaric_diff(grothendieck(tuple(wsi)), i))
     raise AssertionError("unreachable: w has an ascent unless w = w_0")
 
 
@@ -163,33 +179,108 @@ def complete_homog(k: int, i: int) -> Poly:
     return out
 
 
+def _pack(k: tuple[int, ...], w: int) -> int:
+    """The exponent vector k as an integer of w-bit fields, x_1 in the lowest."""
+    return sum(e << (w * s) for s, e in enumerate(k))
+
+
+@lru_cache(maxsize=None)
+def _rewrite_table(n: int, w: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
+    """The rewrite table of ``normal_form`` for S_n and w-bit fields.
+
+    ``normal_form`` rewrites packed monomials (``_pack``): x_n sits in the
+    top field, so integer order is the reversed-exponent order.  In the
+    quotient h_d(x_1..x_i) = 0 with d = n - i + 1, so x_i^d equals minus the
+    other monomials of h_d(x_1..x_i), each of coefficient 1.  Row i - 1
+    holds, per such monomial, its packed exponents minus those of x_i^d:
+    adding it to a monomial over its bound in x_i rewrites that factor x_i^d
+    into one term of its tail.
+
+    With every field below 2^(w-1), ``(m + over) & high`` has the top bit of
+    field i - 1 set iff the exponent of x_i in m is at least its bound d.
+    """
+    tails = []
+    for i in range(1, n + 1):
+        lead = (0,) * (i - 1) + (n - i + 1,)
+        tails.append(tuple(
+            _pack(k, w) - _pack(lead, w)
+            for k in complete_homog(n - i + 1, i) if k != lead
+        ))
+    half = 1 << (w - 1)
+    over = sum((half - (n - s)) << (w * s) for s in range(n))
+    high = sum(half << (w * s) for s in range(n))
+    return tuple(tails), over, high
+
+
 def normal_form(f: Poly, n: int) -> Poly:
     """Reduce modulo the ideal (e_1, ..., e_n) of Z[x_1..x_n].
 
     In the quotient h_{n-i+1}(x_1..x_i) = 0, giving the rewrite
     x_i^{n-i+1} -> x_i^{n-i+1} - h_{n-i+1}(x_1..x_i), which strictly lowers
-    the leading monomial.  The result has exponent of x_i below n-i+1, i.e.
-    is supported on Lehmer codes of S_n.
+    the monomial in the reversed-exponent order (x_n's exponent compared
+    first, then x_{n-1}'s, ...).  The result has exponent of x_i below
+    n-i+1, i.e. is supported on Lehmer codes of S_n.  The h's are a Groebner
+    basis (their leading monomials are coprime), so the result does not
+    depend on the order of the rewrites.
+
+    Monomials that are already reduced go straight to the result.  The
+    others wait in one accumulator and are rewritten largest first, always
+    at the lowest-index variable over its bound: every contribution to a
+    monomial comes from a larger one, so it has arrived before the monomial
+    is rewritten, and each monomial is rewritten once.  A monomial in
+    x_{n+1} or a later variable raises ValueError.
     """
-    f = dict(f)
-    work = True
-    while work:
-        work = False
-        for k in list(f):
-            if k not in f:
-                continue
-            for i in range(1, len(k) + 1):
-                e = k[i - 1]
-                if e >= n - i + 1:
-                    c = f.pop(k)
-                    rest = list(k)
-                    rest[i - 1] = e - (n - i + 1)
-                    sub = pmul({trim_exponents(tuple(rest)): 1}, complete_homog(n - i + 1, i))
-                    sub = padd(sub, {k: 1}, -1)
-                    f = padd(f, sub, -c)
-                    work = True
-                    break
-    return f
+    bound = tuple(range(n, 0, -1))
+    out: Poly = {}
+    todo = []
+    for k, c in f.items():
+        if len(k) > n and any(k[n:]):
+            raise ValueError(f"monomial {k} involves a variable beyond x_{n}")
+        if k and not k[-1]:
+            k = trim_exponents(k)
+        if all(map(lt, k, bound)):
+            out[k] = out.get(k, 0) + c
+        else:
+            todo.append((k, c))
+    if todo:
+        # rewrites keep the total degree, which bounds every exponent
+        w = max(n, max(sum(k) for k, _ in todo)).bit_length() + 1
+        for m, c in _rewrite(todo, n, w).items():
+            k = trim_exponents(tuple((m >> (w * s)) & ((1 << w) - 1) for s in range(n)))
+            out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _rewrite(todo: list[tuple[tuple[int, ...], int]], n: int, w: int) -> dict[int, int]:
+    """The normal form of the unreduced terms ``todo``, keyed by packed monomial.
+
+    Coefficients that cancelled stay in the result as 0.
+    """
+    tails, over, high = _rewrite_table(n, w)
+    pending: dict[int, int] = {}
+    for k, c in todo:
+        m = _pack(k, w)
+        pending[m] = pending.get(m, 0) + c
+    # a min-heap of negated monomials pops the largest first
+    heap = [-m for m in pending]
+    heapify(heap)
+    out: dict[int, int] = {}
+    while heap:
+        m = -heappop(heap)
+        c = pending.pop(m)
+        if not c:
+            continue
+        flags = (m + over) & high
+        for delta in tails[(flags & -flags).bit_length() // w - 1]:
+            t = m + delta
+            if not (t + over) & high:
+                out[t] = out.get(t, 0) - c
+            elif t in pending:
+                pending[t] -= c
+            else:
+                pending[t] = -c
+                heappush(heap, -t)
+    return out
 
 
 def expand_schubert_homog(f: Poly, n: int) -> dict[Permutation, int]:
@@ -208,7 +299,7 @@ def expand_schubert_homog(f: Poly, n: int) -> dict[Permutation, int]:
             raise ValueError(f"leading code {lt} is not a code of S_{n}")
         c = f[lt]
         out[trim_perm(w)] = c
-        f = padd(f, schubert(trim_perm(w)), -c)
+        accumulate(f, schubert(trim_perm(w)), -c)
     return out
 
 
@@ -226,5 +317,5 @@ def expand_grothendieck(f: Poly, n: int) -> dict[Permutation, int]:
         layer = {k: c for k, c in f.items() if sum(k) == d}
         for w, c in expand_schubert_homog(layer, n).items():
             out[w] = c
-            f = padd(f, grothendieck(w), -c)
+            accumulate(f, grothendieck(w), -c)
     return out

@@ -34,17 +34,6 @@ def qclass(u: Permutation, lam: Optional[DegreeVector] = None) -> QClass:
     return {(lam, u): 1}
 
 
-def qclass_add(a: QClass, b: QClass, scale=1) -> QClass:
-    out = dict(a)
-    for k, c in b.items():
-        v = out.get(k, 0) + scale * c
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return out
-
-
 def qclass_equal(a: QClass, b: QClass) -> bool:
     return {k: c for k, c in a.items() if c} == {k: c for k, c in b.items() if c}
 

@@ -7,11 +7,14 @@ Stored as line-oriented text, one record per term:
 with one-line permutations as concatenated digits (comma-separated from
 n = 10 on) and lambda as a comma-separated coefficient list; records sorted
 by (u, v, lambda, w) so identical tables are byte-identical.  Lines starting
-with '#' carry metadata.
+with '#' carry metadata; the first is the header, whose ``records=N`` lets
+``load`` reject a truncated file.  ``save`` writes a temporary file in the
+same directory and renames it over the target.
 """
 from __future__ import annotations
 
 import datetime
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,27 +39,33 @@ class StructureTable:
         return self.entries.get((u, v))
 
     def save(self, path: str | Path) -> None:
+        """Write the table atomically: a temporary file, then ``os.replace``."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        lines = [f"# flagq-table version={FORMAT_VERSION} n={self.n}"]
-        for key, val in sorted(self.metadata.items()):
-            lines.append(f"# {key}={val}")
-        records = []
+        records = set()
         for (u, v), cls in self.entries.items():
             us, vs = weyl.perm_to_string(u, ","), weyl.perm_to_string(v, ",")
             for (lam, w), c in cls.items():
-                records.append(
-                    (us, vs, lam, weyl.perm_to_string(w, ","), int(c))
-                )
-        for us, vs, lam, ws, c in sorted(set(records)):
+                records.add((us, vs, lam, weyl.perm_to_string(w, ","), int(c)))
+        lines = [
+            f"# flagq-table version={FORMAT_VERSION} n={self.n} records={len(records)}"
+        ]
+        for key, val in sorted(self.metadata.items()):
+            lines.append(f"# {key}={val}")
+        for us, vs, lam, ws, c in sorted(records):
             lam_s = ",".join(str(a) for a in lam)
             lines.append(f"{self.n} {us} {vs} {ws} {lam_s} {c}")
-        path.write_text("\n".join(lines) + "\n")
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text("\n".join(lines) + "\n")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path: str | Path) -> "StructureTable":
         path = Path(path)
-        table = None
+        table, expected, count = None, None, 0
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
             line = line.strip()
             if not line:
@@ -67,6 +76,7 @@ class StructureTable:
                         p.split("=", 1) for p in line.split() if "=" in p
                     )
                     table = cls(n=int(parts["n"]))
+                    expected = parts.get("records")
                 elif table is not None and "=" in line:
                     k, _, v = line[1:].strip().partition("=")
                     table.metadata[k] = v
@@ -85,8 +95,11 @@ class StructureTable:
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: bad record ({e})") from e
             table.entries.setdefault((u, v), {})[(lam, w)] = c
+            count += 1
         if table is None:
             raise ValueError(f"{path}: empty table file")
+        if expected != str(count):
+            raise ValueError(f"{path}: {count} records, header has records={expected}")
         return table
 
 

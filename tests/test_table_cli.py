@@ -55,6 +55,24 @@ def test_table_rejects_corruption(tmp_path):
     assert "bad.txt:2" in str(err.value)
 
 
+def test_table_header_counts_records(tmp_path):
+    t = table.build_table(3)
+    path = tmp_path / "t3.txt"
+    t.save(path)
+    lines = path.read_text().splitlines()
+    n_records = sum(1 for line in lines if not line.startswith("#"))
+    assert lines[0].endswith(f" records={n_records}")
+    # the temporary file was renamed into place
+    assert [p.name for p in tmp_path.iterdir()] == ["t3.txt"]
+    # a file cut short, or one without a count, is rejected
+    path.write_text("\n".join(lines[:-3]) + "\n")
+    with pytest.raises(ValueError, match="records"):
+        table.StructureTable.load(path)
+    path.write_text("# flagq-table version=1 n=3\n3 123 123 123 0,0 1\n")
+    with pytest.raises(ValueError, match="records"):
+        table.StructureTable.load(path)
+
+
 def test_table_degree_cap():
     t = table.build_table(3, degree_cap=2)
     perms = weyl.all_permutations(3)
@@ -170,6 +188,22 @@ def test_cli_table_cache_and_env(tmp_path):
     )
     assert r.returncode == 0
     assert not other.exists()
+
+
+def test_cli_truncated_cache_table_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("FLAGQ_CACHE", raising=False)
+    assert cli.main(["table", "--n", "3", "--cache-dir", str(tmp_path)]) == 0
+    path = tmp_path / "table_n3.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[: len(lines) // 2]))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["product", "--n", "3", "--u", "213", "--v", "132",
+                  "--cache-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flagq: cache table: ") and "records=" in err
+    assert "Traceback" not in err
 
 
 def test_cli_qk_projection_text():
