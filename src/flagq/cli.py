@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -109,25 +108,15 @@ def add_perm_args(sub, *flags):
         sub.add_argument(f"--{flag}-word")
 
 
-def cache_dir(args) -> Path | None:
-    env = os.environ.get("FLAGQ_CACHE")
-    if env:
-        return Path(env)
-    if args.cache_dir:
-        return Path(args.cache_dir)
-    return None
-
-
 # --- subcommands -----------------------------------------------------------
 
 def cmd_product(args) -> int:
     n = args.n
     u = parse_perm(args, n, "u")
     v = parse_perm(args, n, "v")
-    cdir = cache_dir(args)
     cls = None
-    if cdir:
-        path = cdir / f"table_n{n}.txt"
+    if args.cache_dir:
+        path = Path(args.cache_dir) / f"table_n{n}.txt"
         if path.exists():
             cached = user_input("cache table", lambda: table.StructureTable.load(path))
             cls = cached.get(u, v)
@@ -165,10 +154,10 @@ def cmd_qk_conjecture(args) -> int:
     except ktheory.ConjectureViolation as e:
         print(f"flagq: counterexample: {e}", file=sys.stderr)
         return 1
+    payload = {"n": n, "terms": class_to_json(cls)}
+    text = render_class(cls, "O")
     if args.project:
-        proj = ktheory.pi_star(dp, cls)
-        k = missing[0]
-        rows = ktheory.partition_labels(proj, k)
+        rows = ktheory.partition_labels(ktheory.pi_star(dp, cls), missing[0])
         lines = []
         jrows = []
         for mu, lam, c in rows:
@@ -178,22 +167,17 @@ def cmd_qk_conjecture(args) -> int:
             ) + f"O{tuple(mu)}"
             lines.append(("- " if c < 0 else "+ ") + mag)
             jrows.append({"partition": list(mu), "q": list(lam), "coeff": int(c)})
-        emit(
-            {"n": n, "projected": jrows, "terms": class_to_json(cls)},
-            render_class(cls, "O") + "\nprojected:\n" + "\n".join(lines),
-            args.format,
-        )
-    else:
-        emit({"n": n, "terms": class_to_json(cls)}, render_class(cls, "O"), args.format)
+        payload["projected"] = jrows
+        text += "\nprojected:\n" + "\n".join(lines)
+    emit(payload, text, args.format)
     return 0
 
 
 def cmd_table(args) -> int:
-    cdir = cache_dir(args)
-    if cdir is None:
-        raise UsageError("table requires --cache-dir (or FLAGQ_CACHE)")
+    if args.degree_cap is not None and args.degree_cap > args.n * (args.n - 1):
+        raise UsageError("--degree-cap exceeds the top degree")
     t = table.build_table(args.n, args.degree_cap)
-    path = cdir / f"table_n{args.n}.txt"
+    path = Path(args.cache_dir) / f"table_n{args.n}.txt"
     t.save(path)
     n_entries = len(t.entries)
     emit(
@@ -214,7 +198,7 @@ def _verify_reports(which: str, n: int, engine_check: bool) -> list[VerifyReport
         reports.append(seidel.verify_support(n))
     if which in ("filtration", "all"):
         for i in range(1, n):
-            reports.append(qhring.verify_filtration(n, i, n * (n - 1)))
+            reports.append(qhring.verify_filtration(n, i))
     if which in ("ktheory", "all"):
         reports.append(ktheory.k_verify(n))
     if not reports:
@@ -227,16 +211,11 @@ def cmd_verify(args) -> int:
     # opt-in beyond (full products dominate the runtime there)
     engine_check = args.engine_check or args.n <= 4
     reports = _verify_reports(args.what, args.n, engine_check)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"schema": SCHEMA, "reports": [r.to_json() for r in reports]},
-                sort_keys=True,
-            )
-        )
-    else:
-        for r in reports:
-            print(r.summary())
+    emit(
+        {"reports": [r.to_json() for r in reports]},
+        "\n".join(r.summary() for r in reports),
+        args.format,
+    )
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -249,29 +228,21 @@ def cmd_reduce(args) -> int:
         "--lambda", lambda: rootsys.degree_from_string(getattr(args, "lambda"), n)
     )
     trace = qhring.reduce_trace(u, v, w, lam)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "terminal": trace.terminal,
-                    "value": trace.value,
-                    "steps": [
-                        {
-                            "u": weyl.perm_to_string(st.u),
-                            "v": weyl.perm_to_string(st.v),
-                            "w": weyl.perm_to_string(st.w),
-                            "lambda": list(st.lam),
-                        }
-                        for st in trace.states
-                    ],
-                    "rules": trace.rules,
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print("\n".join(trace.summary_lines()))
+    steps = [
+        {
+            "u": weyl.perm_to_string(st.u),
+            "v": weyl.perm_to_string(st.v),
+            "w": weyl.perm_to_string(st.w),
+            "lambda": list(st.lam),
+        }
+        for st in trace.states
+    ]
+    emit(
+        {"terminal": trace.terminal, "value": trace.value, "steps": steps,
+         "rules": trace.rules},
+        "\n".join(trace.summary_lines()),
+        args.format,
+    )
     return 0
 
 
@@ -279,14 +250,12 @@ def cmd_explore(args) -> int:
     if not 1 <= args.i <= args.j <= args.n - 1:
         raise UsageError(f"--i and --j need 1 <= i <= j <= {args.n - 1}")
     rows = seidel.explore_classical_equality(args.n, args.i, args.j)
-    if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, "n": args.n, "rows": rows}, sort_keys=True))
-    else:
-        for r in rows:
-            print(
-                f"{r['one_line']} descents={','.join(map(str, r['descents'])) or '-'} "
-                f"u(n)={r['u_n']} equal={r['equal']}"
-            )
+    text = "\n".join(
+        f"{r['one_line']} descents={','.join(map(str, r['descents'])) or '-'} "
+        f"u(n)={r['u_n']} equal={r['equal']}"
+        for r in rows
+    )
+    emit({"n": args.n, "rows": rows}, text, args.format)
     return 0
 
 
@@ -302,11 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sub):
         sub.add_argument("--n", type=int, required=True)
         sub.add_argument("--format", choices=("text", "json"), default="text")
-        sub.add_argument("--cache-dir", default=None)
 
     p = subs.add_parser("product", help="quantum product of two Schubert classes")
     common(p)
     add_perm_args(p, "u", "v")
+    p.add_argument("--cache-dir", default=None, help="read from a table written there")
     p.set_defaults(func=cmd_product)
 
     p = subs.add_parser("k-product", help="K-theory hook product")
@@ -324,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("table", help="generate and cache a product table")
     common(p)
+    p.add_argument("--cache-dir", required=True, help="directory to write the table to")
     p.add_argument("--degree-cap", type=int, default=None)
     p.set_defaults(func=cmd_table)
 
@@ -354,12 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.n < 2:
-        parser.exit(2, "flagq: --n must be at least 2\n")
-    degree_cap = getattr(args, "degree_cap", None)
-    if degree_cap is not None and degree_cap > args.n * (args.n - 1):
-        parser.exit(2, "flagq: --degree-cap exceeds the top degree\n")
     try:
+        if args.n < 2:
+            raise UsageError("--n must be at least 2")
         return args.func(args)
     except UsageError as e:
         parser.exit(2, f"flagq: {e}\n")

@@ -7,9 +7,10 @@ slot i-1.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from operator import lt
+from operator import add, lt
 
 from .weyl import Permutation
 
@@ -65,18 +66,28 @@ def xvar(i: int) -> Poly:
 
 
 def pmul(f: Poly, g: Poly) -> Poly:
+    """f * g.
+
+    Keys are trimmed and exponents non-negative, so adding the common prefix
+    of two keys and appending the longer key's tail gives a trimmed key.
+    """
     out: Poly = {}
     for k1, c1 in f.items():
+        l1 = len(k1)
         for k2, c2 in g.items():
-            l = max(len(k1), len(k2))
-            k = trim_exponents(tuple(a + b for a, b in zip(pad(k1, l), pad(k2, l))))
+            k = tuple(map(add, k1, k2)) + (k1[len(k2):] or k2[l1:])
             out[k] = out.get(k, 0) + c1 * c2
     return {k: c for k, c in out.items() if c}
 
 
-def accumulate(f: Poly, g: Poly, scale: int = 1) -> None:
-    """f += scale * g in place, dropping coefficients that cancel."""
-    for k, c in g.items():
+def accumulate(f: dict, terms: Mapping | Iterable[tuple], scale: int = 1) -> None:
+    """f += scale * terms in place, dropping coefficients that cancel.
+
+    ``terms`` is a mapping or an iterable of (key, coefficient) pairs.
+    """
+    if isinstance(terms, Mapping):
+        terms = terms.items()
+    for k, c in terms:
         v = f.get(k, 0) + scale * c
         if v:
             f[k] = v
@@ -102,19 +113,11 @@ def divided_diff(f: Poly, i: int) -> Poly:
         a, b = k2[i - 1], k2[i]
         if a == b:
             continue
-        if a > b:
-            rng, sg = range(b, a), 1
-        else:
-            rng, sg = range(a, b), -1
-        for j in rng:
-            kk = list(k2)
-            kk[i - 1], kk[i] = j, a + b - 1 - j
-            kk = trim_exponents(tuple(kk))
-            v = out.get(kk, 0) + sg * c
-            if v:
-                out[kk] = v
-            else:
-                out.pop(kk, None)
+        head, tail = k2[: i - 1], k2[i + 1 :]
+        rng, sc = (range(b, a), c) if a > b else (range(a, b), -c)
+        accumulate(out, (
+            (trim_exponents(head + (j, a + b - 1 - j) + tail), sc) for j in rng
+        ))
     return out
 
 
@@ -132,38 +135,33 @@ def _shared(f: Poly) -> Poly:
     return {_monomials.setdefault(k, k): c for k, c in f.items()}
 
 
-@lru_cache(maxsize=None)
-def schubert(w: Permutation) -> Poly:
-    """Schubert polynomial S_w, indexed by a trimmed permutation."""
+def _from_top(w: Permutation, poly, diff) -> Poly:
+    """The polynomial of w by descending divided differences from w_0.
+
+    ``poly`` is the memoized family itself and ``diff`` its operator: the
+    polynomial of w_0 in S_m is x_1^{m-1} x_2^{m-2} ... x_{m-1}, and that of
+    w is ``diff(poly(w s_i), i)`` at the first ascent i of w.
+    """
     w = trim_perm(w)
     if not w:
         return {(): 1}
     m = len(w)
     if w == tuple(range(m, 0, -1)):
-        return {trim_exponents(tuple(m - i for i in range(1, m + 1))): 1}
-    for i in range(1, m):
-        if w[i - 1] < w[i]:
-            wsi = list(w)
-            wsi[i - 1], wsi[i] = wsi[i], wsi[i - 1]
-            return _shared(divided_diff(schubert(tuple(wsi)), i))
-    raise AssertionError("unreachable: w has an ascent unless w = w_0")
+        return {tuple(range(m - 1, 0, -1)): 1}
+    i = next(i for i in range(1, m) if w[i - 1] < w[i])
+    return _shared(diff(poly(w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]), i))
+
+
+@lru_cache(maxsize=None)
+def schubert(w: Permutation) -> Poly:
+    """Schubert polynomial S_w, indexed by a trimmed permutation."""
+    return _from_top(w, schubert, divided_diff)
 
 
 @lru_cache(maxsize=None)
 def grothendieck(w: Permutation) -> Poly:
     """Grothendieck polynomial G_w, via isobaric divided differences."""
-    w = trim_perm(w)
-    if not w:
-        return {(): 1}
-    m = len(w)
-    if w == tuple(range(m, 0, -1)):
-        return {trim_exponents(tuple(m - i for i in range(1, m + 1))): 1}
-    for i in range(1, m):
-        if w[i - 1] < w[i]:
-            wsi = list(w)
-            wsi[i - 1], wsi[i] = wsi[i], wsi[i - 1]
-            return _shared(isobaric_diff(grothendieck(tuple(wsi)), i))
-    raise AssertionError("unreachable: w has an ascent unless w = w_0")
+    return _from_top(w, grothendieck, isobaric_diff)
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from . import rootsys, weyl
+from .polynomials import accumulate
 from .reporting import VerifyReport
 from .rootsys import Root
 from .weyl import DegreeVector, Permutation, identity, length, sgn_alpha
@@ -32,10 +33,6 @@ def qclass(u: Permutation, lam: Optional[DegreeVector] = None) -> QClass:
     if lam is None:
         lam = rootsys.zero_degree(n)
     return {(lam, u): 1}
-
-
-def qclass_equal(a: QClass, b: QClass) -> bool:
-    return {k: c for k, c in a.items() if c} == {k: c for k, c in b.items() if c}
 
 
 # --- quantum Chevalley formula --------------------------------------------
@@ -77,21 +74,11 @@ def quantum_chevalley(i: int, c: QClass, n: int, quantum: bool = True) -> QClass
     if not 1 <= i <= n - 1:
         raise ValueError(f"simple index {i} out of range for n={n}")
     out: QClass = {}
-    for (lam, w), coeff in c.items():
-        for gamma, wp in _chevalley_moves(w, i, quantum):
-            if gamma is None:
-                nl = lam
-            else:
-                a, b = gamma
-                nl = tuple(
-                    lam[k - 1] + (1 if a <= k <= b - 1 else 0) for k in range(1, n)
-                )
-            key = (nl, wp)
-            v = out.get(key, 0) + coeff
-            if v:
-                out[key] = v
-            else:
-                del out[key]
+    accumulate(out, (
+        ((lam if gamma is None else _add_degrees(lam, _coroot(gamma, n)), wp), coeff)
+        for (lam, w), coeff in c.items()
+        for gamma, wp in _chevalley_moves(w, i, quantum)
+    ))
     return out
 
 
@@ -270,7 +257,7 @@ def grade_add(a: GradePair, b: GradePair) -> GradePair:
     return (a[0] + b[0], a[1] + b[1])
 
 
-def verify_filtration(n: int, i: int, degree_cap: int) -> VerifyReport:
+def verify_filtration(n: int, i: int) -> VerifyReport:
     """F_a * F_b subset F_{a+b} (lexicographic order), swept over basis pairs.
 
     Checked on pure Schubert classes; multiplying by q-monomials shifts both
@@ -281,8 +268,6 @@ def verify_filtration(n: int, i: int, degree_cap: int) -> VerifyReport:
     zero = rootsys.zero_degree(n)
     for u in perms:
         for v in perms:
-            if length(u) + length(v) > degree_cap:
-                continue
             bound = grade_add(gr_alpha(i, zero, u), gr_alpha(i, zero, v))
             prod = quantum_product(u, v)
             bad = [
@@ -456,15 +441,14 @@ def reduce_trace(
     v: Permutation,
     w: Permutation,
     lam: DegreeVector,
-    verify: bool = True,
 ) -> ReduceTrace:
     """Reduce N_{u,v}^{w,lam} to a classical constant or a certified zero.
 
     Breadth-first search over the reduce_step rewrite graph for a state with
     lam = 0 (evaluated classically) or a state where the vanishing criterion
     applies; reports "stuck" if the reachable component contains neither.
-    With ``verify`` every state on the returned chain is re-checked
-    numerically via structure_constant.
+    Every state on the returned chain is re-checked numerically via
+    structure_constant.
     """
     n = len(u)
     zero = rootsys.zero_degree(n)
@@ -486,7 +470,7 @@ def reduce_trace(
                 parent[nxt] = (st, rule)
                 queue.append(nxt)
     if goal is None:
-        return _finish([start], [], "stuck", None, verify)
+        return _finish([start], [], "stuck", None)
     chain = [goal]
     rules = []
     while chain[-1] != start:
@@ -499,19 +483,17 @@ def reduce_trace(
         value = 0
     else:
         value = classical_product(goal.u, goal.v).get((zero, goal.w), 0)
-    return _finish(chain, rules, terminal, value, verify)
+    return _finish(chain, rules, terminal, value)
 
 
-def _finish(states, rules, terminal, value, verify) -> ReduceTrace:
-    trace = ReduceTrace(states, rules, terminal, value)
-    if verify:
-        vals = [
-            structure_constant(st.u, st.v, st.w, st.lam)
-            for st in states
-            if rootsys.is_nonnegative(st.lam)
-        ]
-        if len(set(vals)) > 1:
-            raise AssertionError(f"reduction chain not constant: {vals}")
-        if value is not None and vals and vals[0] != value:
-            raise AssertionError(f"chain value {vals[0]} != terminal value {value}")
-    return trace
+def _finish(states, rules, terminal, value) -> ReduceTrace:
+    vals = [
+        structure_constant(st.u, st.v, st.w, st.lam)
+        for st in states
+        if rootsys.is_nonnegative(st.lam)
+    ]
+    if len(set(vals)) > 1:
+        raise AssertionError(f"reduction chain not constant: {vals}")
+    if value is not None and vals and vals[0] != value:
+        raise AssertionError(f"chain value {vals[0]} != terminal value {value}")
+    return ReduceTrace(states, rules, terminal, value)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import qhring, rootsys, weyl
+from .polynomials import accumulate
 from .qhring import QClass
 from .reporting import VerifyReport
 from .weyl import DegreeVector, Permutation
@@ -42,7 +43,7 @@ class PieriResult:
     def agrees(self) -> Optional[bool]:
         if self.engine_form is None:
             return None
-        return qhring.qclass_equal(self.closed_form, self.engine_form)
+        return self.closed_form == self.engine_form
 
 
 def seidel_conjugate(
@@ -64,7 +65,7 @@ def seidel_conjugate(
     k = n - u[-1]
     base = weyl.lambda_cumulative(u, k)
     prefactor = tuple(-i for i in range(1, n))
-    out: QClass = {}
+    terms = []
     zero = rootsys.zero_degree(n)
     for (lam, w), c in cup(weyl.hook(n, m), weyl.u_up(u, k)).items():
         assert lam == zero
@@ -72,12 +73,9 @@ def seidel_conjugate(
         q = tuple(a + b + p for a, b, p in zip(shift, base, prefactor))
         if min(q, default=0) < 0:
             raise error(f"negative exponent {q} at term {w} for m={m}, u={u}")
-        key = (q, w_up)
-        v = out.get(key, 0) + c
-        if v:
-            out[key] = v
-        else:
-            del out[key]
+        terms.append(((q, w_up), c))
+    out: QClass = {}
+    accumulate(out, terms)
     return out
 
 
@@ -104,7 +102,7 @@ def verify_seidel(n: int) -> VerifyReport:
     for u in weyl.all_permutations(n):
         lam, up = seidel_apply(u)
         prod = qhring.quantum_product(full_hook, u)
-        ok = qclass_matches(prod, lam, up)
+        ok = prod == {(lam, up): 1}
         report.record(ok, None if ok else (u, prod))
     return report
 
@@ -158,10 +156,6 @@ def verify_support(n: int) -> VerifyReport:
     return report
 
 
-def qclass_matches(prod: QClass, lam: DegreeVector, w: Permutation) -> bool:
-    return qhring.qclass_equal(prod, {(lam, w): 1})
-
-
 def explore_classical_equality(n: int, i: int, j: int) -> list[dict]:
     """For every u, does sigma^{s_i...s_j} * sigma^u equal the cup product?
 
@@ -181,7 +175,7 @@ def explore_classical_equality(n: int, i: int, j: int) -> list[dict]:
                 "word": weyl.word_to_string(weyl.canonical_word(u)),
                 "descents": list(weyl.descent_set(u)),
                 "u_n": u[-1],
-                "equal": qhring.qclass_equal(quantum, classical),
+                "equal": quantum == classical,
             }
         )
     return rows

@@ -26,6 +26,36 @@ def test_poly_arithmetic():
     assert sq == {(2,): 1, (1, 1): 2, (0, 2): 1}
 
 
+def test_pmul_matches_padded_sum_and_keeps_keys_trimmed():
+    def padded(f, g):
+        out = {}
+        for k1, c1 in f.items():
+            for k2, c2 in g.items():
+                l = max(len(k1), len(k2))
+                k = P.trim_exponents(
+                    tuple(a + b for a, b in zip(P.pad(k1, l), P.pad(k2, l)))
+                )
+                out[k] = out.get(k, 0) + c1 * c2
+        return {k: c for k, c in out.items() if c}
+
+    gs = [P.grothendieck(P.trim_perm(u)) for u in weyl.all_permutations(4)]
+    for f in gs:
+        for g in gs:
+            prod = P.pmul(f, g)
+            assert prod == padded(f, g)
+            assert all(not k or k[-1] for k in prod)
+
+
+def test_accumulate_takes_pairs_and_drops_cancelled_terms():
+    f = {(1,): 2, (0, 1): 1}
+    P.accumulate(f, [((1,), -1), ((2,), 3), ((1,), -1)])
+    assert f == {(0, 1): 1, (2,): 3}
+    P.accumulate(f, {(2,): 1, (0, 1): 1}, -3)
+    assert f == {(0, 1): -2}
+    P.accumulate(f, iter([((0, 1), 2)]))
+    assert f == {}
+
+
 def test_divided_diff_basics():
     x1 = P.xvar(1)
     # d_1(x_1) = 1, d_1(x_1 x_2) = 0 (symmetric), d_1^2 = 0

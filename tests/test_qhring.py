@@ -167,7 +167,7 @@ def test_gr_alpha_values():
 
 def test_filtration_n3_full():
     for i in (1, 2):
-        report = qhring.verify_filtration(3, i, 6)
+        report = qhring.verify_filtration(3, i)
         assert report.ok, report.counterexamples[:3]
 
 

@@ -7,18 +7,9 @@ import pytest
 from flagq import cli, qhring, table, weyl
 
 
-def run_cli(args, env_extra=None):
-    import os
-
-    env = dict(os.environ)
-    env.pop("FLAGQ_CACHE", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args):
     return subprocess.run(
-        [sys.executable, "-m", "flagq.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, "-m", "flagq.cli", *args], capture_output=True, text=True
     )
 
 
@@ -166,7 +157,7 @@ def test_cli_determinism():
     assert a.stdout.strip() == "O[1,2,3,2] + O[2,3,1,2] - O[1,2,3,1,2]"
 
 
-def test_cli_table_cache_and_env(tmp_path):
+def test_cli_table_cache(tmp_path):
     cache = tmp_path / "cache"
     r = run_cli(["table", "--n", "3", "--cache-dir", str(cache)])
     assert r.returncode == 0
@@ -180,18 +171,9 @@ def test_cli_table_cache_and_env(tmp_path):
         qhring.quantum_product(weyl.from_word([2, 1], 3), weyl.from_word([1], 3))
     )
     assert r.stdout.strip() == direct
-    # FLAGQ_CACHE overrides --cache-dir
-    other = tmp_path / "elsewhere"
-    r = run_cli(
-        ["table", "--n", "3", "--cache-dir", str(other)],
-        env_extra={"FLAGQ_CACHE": str(cache)},
-    )
-    assert r.returncode == 0
-    assert not other.exists()
 
 
-def test_cli_truncated_cache_table_is_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("FLAGQ_CACHE", raising=False)
+def test_cli_truncated_cache_table_is_usage_error(tmp_path, capsys):
     assert cli.main(["table", "--n", "3", "--cache-dir", str(tmp_path)]) == 0
     path = tmp_path / "table_n3.txt"
     lines = path.read_text().splitlines(keepends=True)
@@ -282,6 +264,23 @@ def test_cli_input_errors_are_usage_errors(argv, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("flagq: ") and "Traceback" not in err
+
+
+def test_cache_dir_only_where_it_acts(tmp_path, capsys):
+    # --cache-dir belongs to product and table; table cannot run without it
+    for argv in (
+        ["verify", "seidel", "--n", "3", "--cache-dir", str(tmp_path)],
+        ["table", "--n", "3"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["table", "--n", "3", "--cache-dir", str(tmp_path), "--degree-cap", "7"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == "flagq: --degree-cap exceeds the top degree\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_engine_fault_is_internal_error(monkeypatch, capsys):
