@@ -12,7 +12,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import add, lt
 
-from .weyl import Permutation
+from .weyl import Permutation, swap
 
 Poly = dict[tuple[int, ...], int]
 
@@ -107,7 +107,7 @@ def divided_diff(f: Poly, i: int) -> Poly:
     Acts monomial by monomial via the telescoping sum
     x^a y^b -> sign * sum of x^j y^{a+b-1-j}.
     """
-    out: Poly = {}
+    terms = []
     for k, c in f.items():
         k2 = pad(k, i + 1)
         a, b = k2[i - 1], k2[i]
@@ -115,9 +115,12 @@ def divided_diff(f: Poly, i: int) -> Poly:
             continue
         head, tail = k2[: i - 1], k2[i + 1 :]
         rng, sc = (range(b, a), c) if a > b else (range(a, b), -c)
-        accumulate(out, (
-            (trim_exponents(head + (j, a + b - 1 - j) + tail), sc) for j in rng
-        ))
+        if tail:  # k is trimmed, so its tail ends in a nonzero exponent
+            terms += [(head + (j, a + b - 1 - j) + tail, sc) for j in rng]
+        else:
+            terms += [(trim_exponents(head + (j, a + b - 1 - j)), sc) for j in rng]
+    out: Poly = {}
+    accumulate(out, terms)
     return out
 
 
@@ -149,7 +152,7 @@ def _from_top(w: Permutation, poly, diff) -> Poly:
     if w == tuple(range(m, 0, -1)):
         return {tuple(range(m - 1, 0, -1)): 1}
     i = next(i for i in range(1, m) if w[i - 1] < w[i])
-    return _shared(diff(poly(w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]), i))
+    return _shared(diff(poly(swap(w, i)), i))
 
 
 @lru_cache(maxsize=None)

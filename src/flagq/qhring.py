@@ -14,6 +14,7 @@ cup product, which agrees with the q=0 truncation of the quantum product.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -22,7 +23,7 @@ from . import rootsys, weyl
 from .polynomials import accumulate
 from .reporting import VerifyReport
 from .rootsys import Root
-from .weyl import DegreeVector, Permutation, identity, length, sgn_alpha
+from .weyl import DegreeVector, Permutation, identity, length, sgn_alpha, swap
 
 # a QClass: finite formal sum of coefficients on (degree, permutation) pairs
 QClass = dict[tuple[DegreeVector, Permutation], int]
@@ -243,18 +244,25 @@ def check_product_invariants(cls: QClass, degree: int) -> None:
 
 # --- grading and filtration ------------------------------------------------
 
-GradePair = tuple[int, int]
+def _grade(i: int, lam: DegreeVector, w: Permutation) -> int:
+    """sgn_alpha(w, i) + <alpha_i, lam>: the first component of gr_alpha.
+
+    This one number decides every alpha_i-grade test of a term q_lam sigma^w
+    of sigma^u * sigma^v.  Both grade pairs sum to l(u) + l(v) by the degree
+    axiom, which quantum_product enforces through check_product_invariants,
+    so the lexicographic comparison of gr_alpha(i, lam, w) with
+    gr_alpha(i, 0, u) + gr_alpha(i, 0, v) is the comparison of this component
+    with sgn_alpha(u, i) + sgn_alpha(v, i).  Its excess over that bound is
+    positive on a term outside the filtration (the vanishing criterion) and
+    zero where the grade is additive (a reduction step applies).
+    """
+    return sgn_alpha(w, i) + rootsys.pair_root(i, lam)
 
 
-def gr_alpha(i: int, lam: DegreeVector, w: Permutation) -> GradePair:
+def gr_alpha(i: int, lam: DegreeVector, w: Permutation) -> tuple[int, int]:
     """Z^2-grade of q_lam sigma^w with respect to the simple root alpha_i."""
-    a = sgn_alpha(w, i) + rootsys.pair_root(i, lam)
-    total = length(w) + rootsys.pair_2rho(lam)
-    return (a, total - a)
-
-
-def grade_add(a: GradePair, b: GradePair) -> GradePair:
-    return (a[0] + b[0], a[1] + b[1])
+    a = _grade(i, lam, w)
+    return (a, length(w) + rootsys.pair_2rho(lam) - a)
 
 
 def verify_filtration(n: int, i: int) -> VerifyReport:
@@ -262,18 +270,17 @@ def verify_filtration(n: int, i: int) -> VerifyReport:
 
     Checked on pure Schubert classes; multiplying by q-monomials shifts both
     sides of the inequality by the same grade, so this case is exhaustive.
+    A term fails when its alpha_i-grade exceeds that of its factors (_grade).
     """
     report = VerifyReport("filtration", n)
     perms = weyl.all_permutations(n)
-    zero = rootsys.zero_degree(n)
     for u in perms:
         for v in perms:
-            bound = grade_add(gr_alpha(i, zero, u), gr_alpha(i, zero, v))
-            prod = quantum_product(u, v)
+            bound = sgn_alpha(u, i) + sgn_alpha(v, i)
             bad = [
                 (lam, w)
-                for (lam, w) in prod
-                if gr_alpha(i, lam, w) > bound
+                for (lam, w) in quantum_product(u, v)
+                if _grade(i, lam, w) > bound
             ]
             report.record(not bad, (u, v, bad) if bad else None)
     return report
@@ -339,13 +346,11 @@ def psi_alpha(
     lam_P = 0 the lift is 0 and Delta_{P'} = Delta_P, so the image of the
     identity class is the identity class.
     """
-    n = len(w)
     if sgn_alpha(w, i):
         raise ValueError(f"{w} is not a minimal coset representative for P_alpha_{i}")
     lift = peterson_woodward_lift(lam_p, (i,))
-    w_p = weyl.simple_reflection(i, n)
-    tail = w_p if i in lift.delta_P_prime else identity(n)
-    return lift.lambda_B, weyl.multiply(weyl.multiply(w, w_p), tail)
+    # w_P = s_i, and w_{P'} is s_i or the identity
+    return lift.lambda_B, w if i in lift.delta_P_prime else swap(w, i)
 
 
 # --- quantum -> classical reduction ----------------------------------------
@@ -383,12 +388,10 @@ class ReduceTrace:
 
 
 def _vanishes(st: ReduceState) -> bool:
-    """Vanishing criterion: some simple root with grade excess on the target."""
-    n = len(st.u)
+    """Vanishing criterion: some simple root alpha_i with positive grade excess."""
     return any(
-        sgn_alpha(st.w, i) + rootsys.pair_root(i, st.lam)
-        > sgn_alpha(st.u, i) + sgn_alpha(st.v, i)
-        for i in range(1, n)
+        _grade(i, st.lam, st.w) > sgn_alpha(st.u, i) + sgn_alpha(st.v, i)
+        for i in range(1, len(st.u))
     )
 
 
@@ -397,41 +400,41 @@ def reduce_step(
 ) -> list[tuple[str, ReduceState]]:
     """All single-step rewrites of N_{u,v}^{w,lam} with equal value.
 
-    For each simple root alpha_i where the grade-additivity condition
-    sgn(w) + <alpha, lam> = sgn(u) + sgn(v) holds, the constant equals a
-    3-point invariant of the P^1-fibration G/B -> G/P_{alpha_i} and depends
-    only on the coset data: take u, v to their coset minima u', v', flip
-    either back up, and re-lift (w, lam) through Peterson-Woodward to the
-    matching grade.  This subsumes the degree-lowering identities and the
-    lam = 0 exchange rule as special cases.
+    For each simple root alpha_i where the grade is additive (_grade(i, lam,
+    w) = sgn(u) + sgn(v)), the constant equals a 3-point invariant of the
+    P^1-fibration G/B -> G/P_{alpha_i} and depends only on the coset data:
+    take u, v to their coset minima u', v', flip either back up, and re-lift
+    (w, lam) through Peterson-Woodward to the matching grade.  This subsumes
+    the degree-lowering identities and the lam = 0 exchange rule as special
+    cases.
+
+    psi_alpha gives the grade-0 member (lam0, w0) of the fiber over w_min.
+    The rewrite to u' s_i^{e_u}, v' s_i^{e_v} takes the member of grade
+    s = e_u + e_v: with p = sgn(w0) + s, it is w_min s_i when p is odd
+    (w_min otherwise), at degree lam0 + floor(p/2) alpha_i^vee.
     """
-    n = len(u)
+    start = ReduceState(u, v, w, lam)
     out: list[tuple[str, ReduceState]] = []
-    for i in range(1, n):
-        p = rootsys.pair_root(i, lam)
-        if sgn_alpha(w, i) + p != sgn_alpha(u, i) + sgn_alpha(v, i):
+    for i in range(1, len(u)):
+        su, sv, sw = sgn_alpha(u, i), sgn_alpha(v, i), sgn_alpha(w, i)
+        if _grade(i, lam, w) != su + sv:
             continue
-        si = weyl.simple_reflection(i, n)
-        alpha_vee = rootsys.coroot((i, i + 1), n)
-        u_min = weyl.multiply(u, si) if sgn_alpha(u, i) else u
-        v_min = weyl.multiply(v, si) if sgn_alpha(v, i) else v
-        w_min = weyl.multiply(w, si) if sgn_alpha(w, i) else w
-        # PW representative: pairing against alpha_i in {0, -1}
-        c0 = (p + 1) // 2
-        lam_b = tuple(a - c0 * b for a, b in zip(lam, alpha_vee))
-        pair_b = p - 2 * c0
+        u_min = swap(u, i) if su else u
+        v_min = swap(v, i) if sv else v
+        w_min = swap(w, i) if sw else w
+        lam0, w0 = psi_alpha(i, lam, w_min)
+        t = sgn_alpha(w0, i)
         for e_u in (0, 1):
             for e_v in (0, 1):
-                s = e_u + e_v
-                sgn_w = (s - pair_b) % 2
-                c = (s - pair_b - sgn_w) // 2
+                p = t + e_u + e_v
+                # alpha_i^vee is the i-th unit vector of the coroot basis
                 nxt = ReduceState(
-                    weyl.multiply(u_min, si) if e_u else u_min,
-                    weyl.multiply(v_min, si) if e_v else v_min,
-                    weyl.multiply(w_min, si) if sgn_w else w_min,
-                    tuple(a + c * b for a, b in zip(lam_b, alpha_vee)),
+                    swap(u_min, i) if e_u else u_min,
+                    swap(v_min, i) if e_v else v_min,
+                    swap(w_min, i) if p % 2 else w_min,
+                    lam0[: i - 1] + (lam0[i - 1] + p // 2,) + lam0[i:],
                 )
-                if nxt != ReduceState(u, v, w, lam):
+                if nxt != start:
                     out.append((f"alpha_{i}[{e_u}{e_v}]", nxt))
     return out
 
@@ -454,11 +457,11 @@ def reduce_trace(
     zero = rootsys.zero_degree(n)
     start = ReduceState(u, v, w, lam)
     parent: dict[ReduceState, tuple[ReduceState, str]] = {start: (start, "")}
-    queue = [start]
+    queue = deque([start])
     goal = None
     terminal = "stuck"
     while queue:
-        st = queue.pop(0)
+        st = queue.popleft()
         if _vanishes(st):
             goal, terminal = st, "zero"
             break

@@ -20,10 +20,6 @@ def positive_roots(n: int) -> tuple[Root, ...]:
     return tuple((a, b) for a in range(1, n) for b in range(a + 1, n + 1))
 
 
-def simple_root(i: int) -> Root:
-    return (i, i + 1)
-
-
 def coroot(gamma: Root, n: int) -> DegreeVector:
     """gamma^vee for gamma = e_a - e_b: the interval vector on [a, b-1]."""
     a, b = gamma
@@ -42,11 +38,6 @@ def add_degrees(lam: DegreeVector, mu: DegreeVector) -> DegreeVector:
 
 def is_nonnegative(lam: DegreeVector) -> bool:
     return all(a >= 0 for a in lam)
-
-
-def pair_chi(i: int, lam: DegreeVector) -> int:
-    """<chi_i, lam> = i-th coefficient (fundamental-weight pairing)."""
-    return lam[i - 1]
 
 
 def pair_2rho(lam: DegreeVector) -> int:

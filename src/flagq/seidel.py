@@ -8,8 +8,7 @@ classical cup product conjugated by powers of T.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from . import qhring, rootsys, weyl
 from .polynomials import accumulate
@@ -32,18 +31,6 @@ def seidel_power(u: Permutation, k: int) -> tuple[DegreeVector, Permutation]:
 
 class PieriFormulaError(RuntimeError):
     """The closed-form q-prefactor failed to divide; an implementation bug."""
-
-
-@dataclass
-class PieriResult:
-    closed_form: QClass
-    engine_form: Optional[QClass] = None
-
-    @property
-    def agrees(self) -> Optional[bool]:
-        if self.engine_form is None:
-            return None
-        return self.closed_form == self.engine_form
 
 
 def seidel_conjugate(
@@ -79,18 +66,13 @@ def seidel_conjugate(
     return out
 
 
-def quantum_pieri(m: int, u: Permutation, engine_check: bool = False) -> PieriResult:
+def quantum_pieri(m: int, u: Permutation) -> QClass:
     """sigma^{s_{n-m}...s_{n-1}} * sigma^u by the Seidel closed form.
 
     ``seidel_conjugate`` of the classical cup product; a prefactor that fails
     to divide raises PieriFormulaError.
     """
-    result = PieriResult(
-        seidel_conjugate(m, u, qhring.classical_product, PieriFormulaError)
-    )
-    if engine_check:
-        result.engine_form = qhring.quantum_product(weyl.hook(len(u), m), u)
-    return result
+    return seidel_conjugate(m, u, qhring.classical_product, PieriFormulaError)
 
 
 # --- verification sweeps ---------------------------------------------------
@@ -116,14 +98,15 @@ def verify_pieri(n: int, engine_check: bool = True) -> VerifyReport:
     """
     report = VerifyReport("pieri", n)
     for m in range(1, n):
+        hook = weyl.hook(n, m)
         for u in weyl.all_permutations(n):
             try:
-                res = quantum_pieri(m, u, engine_check=engine_check)
+                closed = quantum_pieri(m, u)
             except PieriFormulaError as err:
                 report.record(False, (m, u, err))
                 continue
-            ok = res.agrees if engine_check else True
-            report.record(bool(ok), None if ok else (m, u, res))
+            ok = not engine_check or closed == qhring.quantum_product(hook, u)
+            report.record(ok, None if ok else (m, u, closed))
     return report
 
 

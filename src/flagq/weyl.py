@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 Permutation = tuple[int, ...]
 DegreeVector = tuple[int, ...]
@@ -31,6 +31,11 @@ def simple_reflection(i: int, n: int) -> Permutation:
     p = list(range(1, n + 1))
     p[i - 1], p[i] = p[i], p[i - 1]
     return tuple(p)
+
+
+def swap(u: Permutation, i: int) -> Permutation:
+    """u s_i: the one-line form of u with positions i and i+1 swapped."""
+    return u[: i - 1] + (u[i], u[i - 1]) + u[i + 1 :]
 
 
 def multiply(u: Permutation, v: Permutation) -> Permutation:
@@ -58,15 +63,6 @@ def from_word(word: Iterable[int], n: int) -> Permutation:
     for i in word:
         p = multiply(p, simple_reflection(i, n))
     return p
-
-
-def longest_element(n: int) -> Permutation:
-    return tuple(range(n, 0, -1))
-
-
-def n_cycle(n: int) -> Permutation:
-    """s_1 s_2 ... s_{n-1} = the n-cycle (1, 2, ..., n)."""
-    return tuple(list(range(2, n + 1)) + [1])
 
 
 def hook(n: int, m: int) -> Permutation:
@@ -164,19 +160,6 @@ def bruhat_leq(u: Permutation, v: Permutation) -> bool:
     return True
 
 
-def is_grassmannian_type(u: Permutation) -> Optional[int]:
-    """The unique descent position k if u has at most one descent, else None.
-
-    The identity (no descent) returns 0.
-    """
-    d = descent_set(u)
-    if len(d) == 0:
-        return 0
-    if len(d) == 1:
-        return d[0]
-    return None
-
-
 def perm_to_partition(u: Permutation, k: int) -> tuple[int, ...]:
     """Partition (u(k)-k, ..., u(2)-2, u(1)-1) of a Grassmannian-type permutation."""
     n = len(u)
@@ -185,17 +168,6 @@ def perm_to_partition(u: Permutation, k: int) -> tuple[int, ...]:
     ):
         raise ValueError(f"{u} is not Grassmannian type with descent at {k}")
     return tuple(u[i] - (i + 1) for i in range(k))[::-1]
-
-
-def partition_to_perm(mu: Sequence[int], k: int, n: int) -> Permutation:
-    """Inverse of perm_to_partition: the Grassmannian-type permutation for mu."""
-    if len(mu) != k:
-        raise ValueError("partition must have exactly k parts (zeros allowed)")
-    head = [mu[k - i] + i for i in range(1, k + 1)]
-    if any(x > n for x in head):
-        raise ValueError(f"partition {mu} does not fit in a {k} x {n - k} box")
-    tail = sorted(set(range(1, n + 1)) - set(head))
-    return tuple(head + tail)
 
 
 # --- serialization ---------------------------------------------------------

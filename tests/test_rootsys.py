@@ -5,7 +5,6 @@ from flagq import rootsys, weyl
 
 def test_positive_roots_count():
     assert len(rootsys.positive_roots(5)) == 10
-    assert rootsys.simple_root(2) == (2, 3)
 
 
 def test_coroot_interval():
@@ -25,10 +24,6 @@ def test_pairings_consistent():
             a, b = gamma
             total = sum(rootsys.pair_root(i, lam) for i in range(a, b))
             assert rootsys.pair_positive_root(gamma, lam) == total
-
-
-def test_pair_chi():
-    assert rootsys.pair_chi(3, (0, 1, 2, 0)) == 2
 
 
 def test_reflection():

@@ -10,7 +10,7 @@ def test_seidel_apply_examples():
     u = weyl.simple_reflection(1, 5)
     lam, up = seidel.seidel_apply(u)
     assert lam == (0, 0, 0, 0)
-    assert up == weyl.multiply(weyl.n_cycle(5), u)
+    assert up == weyl.multiply(weyl.from_word(range(1, 5), 5), u)
     # rotating class
     assert seidel.seidel_apply((4, 3, 5, 1, 2)) == ((0, 0, 1, 1), (5, 4, 1, 2, 3))
 
@@ -52,7 +52,7 @@ def test_identity_orbit_degrees():
 
 def test_rotation_has_order_n():
     for n in (3, 4, 5, 6):
-        u = weyl.longest_element(n)
+        u = tuple(range(n, 0, -1))
         seen = {u}
         r = u
         for _ in range(n - 1):
@@ -70,10 +70,27 @@ def test_verify_sweeps(n):
     assert seidel.verify_support(n).ok
 
 
+def test_verify_pieri_compares_with_engine(monkeypatch):
+    # a closed form that drops its one term at (m, u) = (1, id) must come
+    # back as that case's counterexample when the engine check is on
+    n = 3
+    closed_form = seidel.quantum_pieri
+
+    def planted(m, u):
+        return {} if (m, u) == (1, weyl.identity(n)) else closed_form(m, u)
+
+    monkeypatch.setattr(seidel, "quantum_pieri", planted)
+    r = seidel.verify_pieri(n)
+    assert r.counterexamples == [(1, weyl.identity(n), {})]
+    assert (r.total, r.passed) == (12, 11)
+    assert seidel.verify_pieri(n, engine_check=False).ok
+
+
 def test_pieri_fl5_golden():
-    res = seidel.quantum_pieri(3, (4, 3, 5, 1, 2), engine_check=True)
-    assert res.agrees
-    assert res.closed_form == {
+    u = (4, 3, 5, 1, 2)
+    closed = seidel.quantum_pieri(3, u)
+    assert closed == qhring.quantum_product(weyl.hook(5, 3), u)
+    assert closed == {
         ((0, 0, 1, 1), weyl.from_word([4, 2, 3, 1, 2, 1], 5)): 1,
         ((0, 0, 1, 1), weyl.from_word([3, 4, 2, 3, 1, 2], 5)): 1,
     }
@@ -82,13 +99,13 @@ def test_pieri_fl5_golden():
 def test_pieri_identity_and_classical_cases():
     n = 5
     for m in range(1, n):
-        res = seidel.quantum_pieri(m, weyl.identity(n))
-        assert res.closed_form == {(rootsys.zero_degree(n), weyl.hook(n, m)): 1}
+        closed = seidel.quantum_pieri(m, weyl.identity(n))
+        assert closed == {(rootsys.zero_degree(n), weyl.hook(n, m)): 1}
     # u fixing n: full-hook product stays classical
     u = weyl.from_word([1, 2, 1], n)
-    res = seidel.quantum_pieri(n - 1, u, engine_check=True)
-    assert res.agrees
-    assert all(lam == rootsys.zero_degree(n) for (lam, _) in res.closed_form)
+    closed = seidel.quantum_pieri(n - 1, u)
+    assert closed == qhring.quantum_product(weyl.hook(n, n - 1), u)
+    assert all(lam == rootsys.zero_degree(n) for (lam, _) in closed)
 
 
 def test_pieri_n5_sampled():
@@ -97,8 +114,8 @@ def test_pieri_n5_sampled():
     for _ in range(210):
         m = rng.randrange(1, 5)
         u = perms[rng.randrange(len(perms))]
-        res = seidel.quantum_pieri(m, u, engine_check=True)
-        assert res.agrees, (m, u)
+        closed = seidel.quantum_pieri(m, u)
+        assert closed == qhring.quantum_product(weyl.hook(5, m), u), (m, u)
 
 
 def test_pieri_no_negative_exponents_n5():

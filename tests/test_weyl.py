@@ -29,6 +29,9 @@ def test_multiply_composes_as_functions():
 def test_right_multiplication_swaps_positions():
     u = (3, 1, 4, 2)
     assert weyl.multiply(u, weyl.simple_reflection(2, 4)) == (3, 4, 1, 2)
+    for u in weyl.all_permutations(4):
+        for i in range(1, 4):
+            assert weyl.swap(u, i) == weyl.multiply(u, weyl.simple_reflection(i, 4))
 
 
 @given(perm_any)
@@ -46,9 +49,8 @@ def test_length_changes_by_one(u, i):
 
 def test_from_word_and_longest():
     assert weyl.from_word([1, 2, 1], 3) == (3, 2, 1)
-    assert weyl.longest_element(4) == (4, 3, 2, 1)
-    assert weyl.length(weyl.longest_element(5)) == 10
-    assert weyl.n_cycle(4) == (2, 3, 4, 1)
+    assert weyl.from_word([1, 2, 1, 3, 2, 1], 4) == (4, 3, 2, 1)
+    assert weyl.length((5, 4, 3, 2, 1)) == 10
     assert weyl.hook(5, 3) == weyl.from_word([2, 3, 4], 5)
 
 
@@ -80,7 +82,7 @@ def test_lambda_of_examples():
 
 def test_u_up_and_cumulative():
     u = (4, 3, 5, 1, 2)
-    assert weyl.u_up(u, 1) == weyl.multiply(weyl.n_cycle(5), u)
+    assert weyl.u_up(u, 1) == weyl.multiply(weyl.from_word(range(1, 5), 5), u)
     assert weyl.u_up(u, 5) == u  # period n
     assert weyl.lambda_cumulative(u, 0) == (0, 0, 0, 0)
     # cumulative = sum of per-step degrees
@@ -111,16 +113,20 @@ def test_bruhat_matches_subword_oracle():
 
 
 def test_grassmannian_type_and_partitions():
-    assert weyl.is_grassmannian_type((1, 2, 3, 4)) == 0
-    assert weyl.is_grassmannian_type((2, 4, 1, 3)) == 2
-    assert weyl.is_grassmannian_type((2, 1, 4, 3)) is None
-    u = weyl.partition_to_perm((2, 1), 2, 4)
-    assert u == (3, 4, 1, 2)[:0] + u  # shape sanity
-    assert weyl.perm_to_partition(u, 2) == (2, 1)
+    assert weyl.perm_to_partition((2, 4, 1, 3), 2) == (2, 1)
+    assert weyl.perm_to_partition((1, 2, 3, 4), 2) == (0, 0)
+    with pytest.raises(ValueError):
+        weyl.perm_to_partition((2, 1, 4, 3), 2)
+    # the Grassmannian-type permutations with descents in {k} are in bijection
+    # with the partitions in a k x (4 - k) box
     for k in (1, 2, 3):
-        for mu in itertools.product(range(4 - k + 1), repeat=k):
-            if all(a >= b for a, b in zip(mu, mu[1:])):
-                assert weyl.perm_to_partition(weyl.partition_to_perm(mu, k, 4), k) == mu
+        box = {
+            mu
+            for mu in itertools.product(range(4 - k + 1), repeat=k)
+            if all(a >= b for a, b in zip(mu, mu[1:]))
+        }
+        grass = [u for u in weyl.all_permutations(4) if set(weyl.descent_set(u)) <= {k}]
+        assert sorted(weyl.perm_to_partition(u, k) for u in grass) == sorted(box)
 
 
 def test_serialization_round_trip():

@@ -64,7 +64,7 @@ def test_hook_is_its_word():
     for n in range(2, 11):
         for m in range(1, n):
             assert weyl.hook(n, m) == weyl.from_word(range(n - m, n), n)
-    assert weyl.hook(6, 5) == weyl.n_cycle(6)
+    assert weyl.hook(6, 5) == (2, 3, 4, 5, 6, 1)
 
 
 def test_negative_k_raises():

@@ -10,11 +10,16 @@ from __future__ import annotations
 from flagq.weyl import (
     DegreeVector,
     Permutation,
+    from_word,
     identity,
     multiply,
-    n_cycle,
     simple_reflection,
 )
+
+
+def n_cycle(n: int) -> Permutation:
+    """s_1 s_2 ... s_{n-1} = the n-cycle (1, 2, ..., n)."""
+    return from_word(range(1, n), n)
 
 
 def canonical_factorization(u: Permutation) -> tuple[int, ...]:
