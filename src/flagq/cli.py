@@ -3,8 +3,9 @@
 Subcommands: product, k-product, qk-conjecture, table, verify, reduce,
 explore.  Output is deterministic: terms sorted by q-degree lexicographically,
 then by the one-line form of the permutation.  Exit status 0 on success, 1
-when a verification sweep finds a counterexample, 2 on usage errors, 3 on an
-internal error (a fault in flagq, never in the input).
+when a verification sweep finds a counterexample or a reduction is stuck, 2
+on usage errors, 3 on an internal error (a fault in flagq, never in the
+input).
 """
 from __future__ import annotations
 
@@ -197,8 +198,7 @@ def _verify_reports(which: str, n: int, engine_check: bool) -> list[VerifyReport
     if which in ("support", "all"):
         reports.append(seidel.verify_support(n))
     if which in ("filtration", "all"):
-        for i in range(1, n):
-            reports.append(qhring.verify_filtration(n, i))
+        reports.extend(qhring.verify_filtration(n))
     if which in ("ktheory", "all"):
         reports.append(ktheory.k_verify(n))
     if not reports:
@@ -243,6 +243,10 @@ def cmd_reduce(args) -> int:
         "\n".join(trace.summary_lines()),
         args.format,
     )
+    if trace.terminal == "stuck":
+        value = qhring.structure_constant(u, v, w, lam)
+        print(f"flagq: reduction stuck; engine value {value}", file=sys.stderr)
+        return 1
     return 0
 
 

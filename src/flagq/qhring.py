@@ -43,6 +43,37 @@ def qclass(u: Permutation, lam: Optional[DegreeVector] = None) -> QClass:
 _perms: dict[Permutation, Permutation] = {}
 
 
+def _edge(w: Permutation, a: int, b: int) -> int:
+    """Which edge of the quantum Bruhat graph, if any, joins w to w t_ab (a < b).
+
+    1 when l(w t_ab) = l(w) + 1, -1 when l(w t_ab) = l(w) + 1 - 2(b - a),
+    0 otherwise.  Swapping w(a) and w(b) flips the pair (a, b) itself and,
+    for each c in (a, b) with w(c) strictly between w(a) and w(b), the two
+    pairs (a, c) and (c, b); every other pair keeps its order.  So with k
+    such c the length moves by 1 + 2k, up when w(a) < w(b) and down
+    otherwise: k = 0 is a Bruhat cover, and k = b - a - 1 (every c in
+    between) is the quantum drop 2(b - a) - 1.
+    """
+    x, y = w[a - 1], w[b - 1]
+    if x < y:
+        for c in w[a : b - 1]:
+            if x < c < y:
+                return 0
+        return 1
+    for c in w[a : b - 1]:
+        if not y < c < x:
+            return 0
+    return -1
+
+
+def _move(w: Permutation, a: int, b: int) -> Permutation:
+    """w t_ab, shared through _perms."""
+    wp = list(w)
+    wp[a - 1], wp[b - 1] = wp[b - 1], wp[a - 1]
+    wp = tuple(wp)
+    return _perms.setdefault(wp, wp)
+
+
 @lru_cache(maxsize=None)
 def _chevalley_moves(
     w: Permutation, i: int, quantum: bool
@@ -52,21 +83,21 @@ def _chevalley_moves(
     For each positive root gamma = e_a - e_b with <chi_i, gamma^vee> = 1
     (i.e. a <= i < b): a classical move to w s_gamma when the length goes up
     by one, and a quantum move (tagged with gamma) when it drops by
-    <2 rho, gamma^vee> - 1 = 2(b-a) - 1.
+    <2 rho, gamma^vee> - 1 = 2(b-a) - 1.  Both tests are local (_edge): the
+    length goes up by one iff w(a) < w(b) and no c in (a, b) has w(c)
+    between them, and drops by 2(b-a) - 1 iff w(a) > w(b) and every such c
+    does, because only the pairs through a c with w(c) between w(a) and w(b)
+    change order, two for each c, besides (a, b) itself.
     """
     n = len(w)
-    lw = length(w)
     out = []
     for a in range(1, i + 1):
         for b in range(i + 1, n + 1):
-            wp = list(w)
-            wp[a - 1], wp[b - 1] = wp[b - 1], wp[a - 1]
-            wp = tuple(wp)
-            d = length(wp) - lw
-            if d == 1:
-                out.append((None, _perms.setdefault(wp, wp)))
-            elif quantum and d == 1 - 2 * (b - a):
-                out.append(((a, b), _perms.setdefault(wp, wp)))
+            e = _edge(w, a, b)
+            if e == 1:
+                out.append((None, _move(w, a, b)))
+            elif quantum and e == -1:
+                out.append(((a, b), _move(w, a, b)))
     return tuple(out)
 
 
@@ -92,20 +123,22 @@ def _monk_moves(
     """X_r sigma^w as (sign, degree, permutation) terms.
 
     X_r = sigma^{s_r} - sigma^{s_{r-1}} is the quantum Monk operator of
-    Fomin-Gelfand-Postnikov, taken here as the difference of two Chevalley
-    move lists: the moves over (a, b) with a < r < b occur for both divisors
-    and cancel, which leaves +moves over (r, b) with b > r and -moves over
-    (a, r) with a < r.
+    Fomin-Gelfand-Postnikov.  The Chevalley moves over (a, b) with
+    a < r < b occur for both divisors and cancel, which leaves +moves over
+    (r, b) with b > r and -moves over (a, r) with a < r, listed here in that
+    order.  Only those moves are tested, each by the local edge rule of
+    _edge: classical when w(a) < w(b) and no c in (a, b) has w(c) between
+    them, quantum (degree gamma^vee) when w(a) > w(b) and every such c does.
     """
     n = len(w)
-    plus = _chevalley_moves(w, r, quantum)
-    minus = _chevalley_moves(w, r - 1, quantum)
+    roots = [(1, r, b) for b in range(r + 1, n + 1)] + [(-1, a, r) for a in range(1, r)]
     out = []
-    for sign, mine, other in ((1, plus, minus), (-1, minus, plus)):
-        for gamma, wp in mine:
-            if (gamma, wp) not in other:
-                lam = _zero(n) if gamma is None else _coroot(gamma, n)
-                out.append((sign, lam, wp))
+    for sign, a, b in roots:
+        e = _edge(w, a, b)
+        if e == 1:
+            out.append((sign, _zero(n), _move(w, a, b)))
+        elif quantum and e == -1:
+            out.append((sign, _coroot((a, b), n), _move(w, a, b)))
     return tuple(out)
 
 
@@ -209,7 +242,7 @@ def get_engine(n: int, quantum: bool = True) -> RingEngine:
 def quantum_product(u: Permutation, v: Permutation) -> QClass:
     """sigma^u * sigma^v in QH*(Fl_n), with product invariants enforced."""
     out = get_engine(len(u), True).product(u, v)
-    check_product_invariants(out, length(u) + length(v))
+    check_product_invariants(out, _length(u) + _length(v))
     return out
 
 
@@ -234,7 +267,7 @@ def check_product_invariants(cls: QClass, degree: int) -> None:
     for (lam, w), c in cls.items():
         if not rootsys.is_nonnegative(lam):
             raise AssertionError(f"negative curve degree {lam} in product")
-        if length(w) + rootsys.pair_2rho(lam) != degree:
+        if _length(w) + rootsys.pair_2rho(lam) != degree:
             raise AssertionError(f"degree axiom violated at {(lam, w)}")
         if not isinstance(c, int):
             raise AssertionError(f"non-integral structure constant {c}")
@@ -265,25 +298,28 @@ def gr_alpha(i: int, lam: DegreeVector, w: Permutation) -> tuple[int, int]:
     return (a, length(w) + rootsys.pair_2rho(lam) - a)
 
 
-def verify_filtration(n: int, i: int) -> VerifyReport:
-    """F_a * F_b subset F_{a+b} (lexicographic order), swept over basis pairs.
+def verify_filtration(n: int) -> list[VerifyReport]:
+    """F_a * F_b subset F_{a+b} (lexicographic order), one report per alpha_i.
 
     Checked on pure Schubert classes; multiplying by q-monomials shifts both
     sides of the inequality by the same grade, so this case is exhaustive.
     A term fails when its alpha_i-grade exceeds that of its factors (_grade).
+    The product is commutative, so each unordered pair {u, v} is multiplied
+    once and checked for every i; each report still counts (u, v) and then
+    (v, u), n!^2 ordered pairs in all.
     """
-    report = VerifyReport("filtration", n)
+    reports = [VerifyReport("filtration", n) for _ in range(1, n)]
     perms = weyl.all_permutations(n)
-    for u in perms:
-        for v in perms:
-            bound = sgn_alpha(u, i) + sgn_alpha(v, i)
-            bad = [
-                (lam, w)
-                for (lam, w) in quantum_product(u, v)
-                if _grade(i, lam, w) > bound
-            ]
-            report.record(not bad, (u, v, bad) if bad else None)
-    return report
+    for k, u in enumerate(perms):
+        for v in perms[: k + 1]:
+            terms = quantum_product(u, v)
+            for i, report in enumerate(reports, 1):
+                bound = sgn_alpha(u, i) + sgn_alpha(v, i)
+                bad = [(lam, w) for (lam, w) in terms if _grade(i, lam, w) > bound]
+                report.record(not bad, (u, v, bad) if bad else None)
+                if v != u:
+                    report.record(not bad, (v, u, bad) if bad else None)
+    return reports
 
 
 # --- Peterson-Woodward comparison -----------------------------------------

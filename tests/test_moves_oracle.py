@@ -1,0 +1,37 @@
+"""The engine's move lists against the length-based oracle.
+
+``qhring._chevalley_moves`` and ``qhring._monk_moves`` find quantum Bruhat
+edges by a local test on the positions between a and b; the oracle
+(``moves_oracle.py``) compares full inversion counts and builds X_r as the
+difference of two Chevalley lists.  The lists must agree exactly, order
+included, since the order fixes the order of every product's terms.
+"""
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import moves_oracle as oracle
+from flagq import qhring, weyl
+
+
+def assert_same_moves(w, quantum):
+    for i in range(1, len(w)):
+        assert qhring._chevalley_moves(w, i, quantum) == oracle.chevalley_moves(
+            w, i, quantum
+        ), (w, i, quantum)
+        assert qhring._monk_moves(w, i, quantum) == oracle.monk_moves(
+            w, i, quantum
+        ), (w, i, quantum)
+
+
+@pytest.mark.parametrize("quantum", (True, False))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_moves_match_oracle_on_all_of_s_n(n, quantum):
+    for w in weyl.all_permutations(n):
+        assert_same_moves(w, quantum)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((7, 8)).flatmap(lambda n: st.permutations(range(1, n + 1))),
+       st.booleans())
+def test_moves_match_oracle_sampled_n7_n8(w, quantum):
+    assert_same_moves(tuple(w), quantum)

@@ -248,6 +248,20 @@ def test_cli_reduce_n5_finishes():
     assert r.stdout.strip().splitlines()[-1] == "= 0 (vanishing criterion)"
 
 
+@pytest.mark.parametrize("u, v, w", [("32154", "54321", "45123"),
+                                    ("21543", "32154", "12345")])
+def test_cli_reduce_stuck_exits_1_with_engine_value(u, v, w, capsys):
+    # no reduction rule applies at the start state of either n = 5 case
+    argv = ["reduce", "--n", "5", "--u", u, "--v", v, "--w", w, "--lambda", "1,1,1,1"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        f"  N[u={u}, v={v}; w={w}, lam=1,1,1,1]",
+        "stuck: no reduction rule applies",
+    ]
+    assert err == "flagq: reduction stuck; engine value 2\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
