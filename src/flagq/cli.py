@@ -1,8 +1,10 @@
 """flagq command-line interface.
 
 Subcommands: product, k-product, qk-conjecture, table, verify, reduce,
-explore.  Output is deterministic: terms sorted by q-degree lexicographically,
-then by the one-line form of the permutation.  Exit status 0 on success, 1
+explore.  Each builds one JSON payload; ``--format json`` prints it and
+``--format text`` prints a text view rendered from the payload alone.
+Output is deterministic: terms sorted by q-degree lexicographically, then by
+the one-line form of the permutation.  Exit status 0 on success, 1
 when a verification sweep finds a counterexample or a reduction is stuck, 2
 on usage errors, 3 on an internal error (a fault in flagq, never in the
 input).
@@ -13,7 +15,6 @@ import argparse
 import json
 import sys
 import traceback
-from pathlib import Path
 
 from . import ktheory, qhring, rootsys, seidel, table, weyl
 from .reporting import VerifyReport
@@ -26,31 +27,8 @@ class UsageError(Exception):
 
 
 # --- rendering -------------------------------------------------------------
-
-def term_symbol(w, letter: str) -> str:
-    word = weyl.canonical_word(w)
-    return f"{letter}[{','.join(str(i) for i in word)}]"
-
-
-def render_class(cls, letter: str = "s") -> str:
-    if not cls:
-        return "0"
-    parts = []
-    for (lam, w), c in sorted(cls.items()):
-        mag = []
-        if abs(c) != 1:
-            mag.append(str(abs(c)))
-        q = rootsys.q_monomial_string(lam)
-        if q != "1":
-            mag.append(q)
-        mag.append(term_symbol(w, letter))
-        text = "*".join(mag)
-        if not parts:
-            parts.append(text if c > 0 else f"-{text}")
-        else:
-            parts.append(f"+ {text}" if c > 0 else f"- {text}")
-    return " ".join(parts)
-
+# Each command builds one JSON payload.  Its text output is a view of that
+# payload, rendered only when --format text asks for it.
 
 def class_to_json(cls) -> list[dict]:
     return [
@@ -64,11 +42,91 @@ def class_to_json(cls) -> list[dict]:
     ]
 
 
-def emit(payload: dict, text: str, fmt: str) -> None:
+def render_magnitude(c: int, lam, symbol: str) -> str:
+    """|c| when it is not 1, the q-monomial when it is not 1, then the symbol."""
+    parts = [] if abs(c) == 1 else [str(abs(c))]
+    q = rootsys.q_monomial_string(lam)
+    if q != "1":
+        parts.append(q)
+    parts.append(symbol)
+    return "*".join(parts)
+
+
+def render_class(terms: list[dict], letter: str = "s") -> str:
+    """Signed sum of the payload terms of class_to_json."""
+    if not terms:
+        return "0"
+    parts = []
+    for t in terms:
+        c = t["coeff"]
+        text = render_magnitude(c, t["q"], f"{letter}[{','.join(map(str, t['word']))}]")
+        if not parts:
+            parts.append(text if c > 0 else f"-{text}")
+        else:
+            parts.append(f"+ {text}" if c > 0 else f"- {text}")
+    return " ".join(parts)
+
+
+def render_product(payload: dict) -> str:
+    return render_class(payload["terms"])
+
+
+def render_k_class(payload: dict) -> str:
+    """The K-class terms, then the projected rows of qk-conjecture --project."""
+    text = render_class(payload["terms"], "O")
+    if "projected" not in payload:
+        return text
+    lines = [
+        ("- " if r["coeff"] < 0 else "+ ")
+        + render_magnitude(r["coeff"], r["q"], f"O{tuple(r['partition'])}")
+        for r in payload["projected"]
+    ]
+    return text + "\nprojected:\n" + "\n".join(lines)
+
+
+def render_table(payload: dict) -> str:
+    return f"wrote {payload['entries']} entries to {payload['path']}"
+
+
+def render_verify(payload: dict) -> str:
+    return "\n".join(
+        f"{r['name']} n={r['n']}: {r['passed']}/{r['total']} "
+        + ("pass" if r["passed"] == r["total"] else "FAIL")
+        for r in payload["reports"]
+    )
+
+
+def render_reduce(payload: dict) -> str:
+    lines = []
+    for idx, st in enumerate(payload["steps"]):
+        head = "  " if idx == 0 else f"= [{payload['rules'][idx - 1]}] "
+        lines.append(
+            f"{head}N[u={st['u']}, v={st['v']}; w={st['w']}, "
+            f"lam={','.join(map(str, st['lambda']))}]"
+        )
+    if payload["terminal"] == "zero":
+        lines.append("= 0 (vanishing criterion)")
+    elif payload["terminal"] == "stuck":
+        lines.append("stuck: no reduction rule applies")
+    else:
+        lines.append(f"= {payload['value']}")
+    return "\n".join(lines)
+
+
+def render_explore(payload: dict) -> str:
+    return "\n".join(
+        f"{r['one_line']} descents={','.join(map(str, r['descents'])) or '-'} "
+        f"u(n)={r['u_n']} equal={r['equal']}"
+        for r in payload["rows"]
+    )
+
+
+def emit(payload: dict, text, fmt: str) -> None:
+    """Print the payload as JSON, or the text that text(payload) renders from it."""
     if fmt == "json":
         print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
     else:
-        print(text)
+        print(text(payload))
 
 
 # --- argument handling -----------------------------------------------------
@@ -117,24 +175,20 @@ def cmd_product(args) -> int:
     v = parse_perm(args, n, "v")
     cls = None
     if args.cache_dir:
-        path = Path(args.cache_dir) / f"table_n{n}.txt"
+        path = table.table_path(args.cache_dir, n)
         if path.exists():
             cached = user_input("cache table", lambda: table.StructureTable.load(path))
             cls = cached.get(u, v)
     if cls is None:
         cls = qhring.quantum_product(u, v)
-    emit({"n": n, "terms": class_to_json(cls)}, render_class(cls), args.format)
+    emit({"n": n, "terms": class_to_json(cls)}, render_product, args.format)
     return 0
 
 
 def cmd_k_product(args) -> int:
     check_hook(args)
     cls = ktheory.k_cup_special(args.hook, parse_perm(args, args.n, "v"))
-    emit(
-        {"n": args.n, "terms": class_to_json(cls)},
-        render_class(cls, "O"),
-        args.format,
-    )
+    emit({"n": args.n, "terms": class_to_json(cls)}, render_k_class, args.format)
     return 0
 
 
@@ -156,34 +210,23 @@ def cmd_qk_conjecture(args) -> int:
         print(f"flagq: counterexample: {e}", file=sys.stderr)
         return 1
     payload = {"n": n, "terms": class_to_json(cls)}
-    text = render_class(cls, "O")
     if args.project:
         rows = ktheory.partition_labels(ktheory.pi_star(dp, cls), missing[0])
-        lines = []
-        jrows = []
-        for mu, lam, c in rows:
-            q = rootsys.q_monomial_string(lam)
-            mag = ("" if abs(c) == 1 else f"{abs(c)}*") + (
-                f"{q}*" if q != "1" else ""
-            ) + f"O{tuple(mu)}"
-            lines.append(("- " if c < 0 else "+ ") + mag)
-            jrows.append({"partition": list(mu), "q": list(lam), "coeff": int(c)})
-        payload["projected"] = jrows
-        text += "\nprojected:\n" + "\n".join(lines)
-    emit(payload, text, args.format)
+        payload["projected"] = [
+            {"partition": list(mu), "q": list(lam), "coeff": int(c)}
+            for mu, lam, c in rows
+        ]
+    emit(payload, render_k_class, args.format)
     return 0
 
 
 def cmd_table(args) -> int:
-    if args.degree_cap is not None and args.degree_cap > args.n * (args.n - 1):
-        raise UsageError("--degree-cap exceeds the top degree")
-    t = table.build_table(args.n, args.degree_cap)
-    path = Path(args.cache_dir) / f"table_n{args.n}.txt"
+    t = table.build_table(args.n)
+    path = table.table_path(args.cache_dir, args.n)
     t.save(path)
-    n_entries = len(t.entries)
     emit(
-        {"n": args.n, "path": str(path), "entries": n_entries},
-        f"wrote {n_entries} entries to {path}",
+        {"n": args.n, "path": str(path), "entries": len(t.entries)},
+        render_table,
         args.format,
     )
     return 0
@@ -211,11 +254,7 @@ def cmd_verify(args) -> int:
     # opt-in beyond (full products dominate the runtime there)
     engine_check = args.engine_check or args.n <= 4
     reports = _verify_reports(args.what, args.n, engine_check)
-    emit(
-        {"reports": [r.to_json() for r in reports]},
-        "\n".join(r.summary() for r in reports),
-        args.format,
-    )
+    emit({"reports": [r.to_json() for r in reports]}, render_verify, args.format)
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -240,7 +279,7 @@ def cmd_reduce(args) -> int:
     emit(
         {"terminal": trace.terminal, "value": trace.value, "steps": steps,
          "rules": trace.rules},
-        "\n".join(trace.summary_lines()),
+        render_reduce,
         args.format,
     )
     if trace.terminal == "stuck":
@@ -254,12 +293,7 @@ def cmd_explore(args) -> int:
     if not 1 <= args.i <= args.j <= args.n - 1:
         raise UsageError(f"--i and --j need 1 <= i <= j <= {args.n - 1}")
     rows = seidel.explore_classical_equality(args.n, args.i, args.j)
-    text = "\n".join(
-        f"{r['one_line']} descents={','.join(map(str, r['descents'])) or '-'} "
-        f"u(n)={r['u_n']} equal={r['equal']}"
-        for r in rows
-    )
-    emit({"n": args.n, "rows": rows}, text, args.format)
+    emit({"n": args.n, "rows": rows}, render_explore, args.format)
     return 0
 
 
@@ -298,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("table", help="generate and cache a product table")
     common(p)
     p.add_argument("--cache-dir", required=True, help="directory to write the table to")
-    p.add_argument("--degree-cap", type=int, default=None)
     p.set_defaults(func=cmd_table)
 
     p = subs.add_parser("verify", help="run a verification sweep")

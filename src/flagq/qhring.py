@@ -406,22 +406,6 @@ class ReduceTrace:
     terminal: str  # "classical" | "zero" | "stuck"
     value: Optional[int]
 
-    def summary_lines(self) -> list[str]:
-        out = []
-        for idx, st in enumerate(self.states):
-            head = "  " if idx == 0 else f"= [{self.rules[idx - 1]}] "
-            out.append(
-                f"{head}N[u={weyl.perm_to_string(st.u)}, v={weyl.perm_to_string(st.v)}; "
-                f"w={weyl.perm_to_string(st.w)}, lam={','.join(map(str, st.lam))}]"
-            )
-        if self.terminal == "zero":
-            out.append("= 0 (vanishing criterion)")
-        elif self.terminal == "stuck":
-            out.append("stuck: no reduction rule applies")
-        else:
-            out.append(f"= {self.value}")
-        return out
-
 
 def _vanishes(st: ReduceState) -> bool:
     """Vanishing criterion: some simple root alpha_i with positive grade excess."""

@@ -25,10 +25,6 @@ class VerifyReport:
     def ok(self) -> bool:
         return self.passed == self.total
 
-    def summary(self) -> str:
-        status = "pass" if self.ok else "FAIL"
-        return f"{self.name} n={self.n}: {self.passed}/{self.total} {status}"
-
     def to_json(self) -> dict:
         return {
             "name": self.name,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .weyl import DegreeVector, Permutation, identity
+from .weyl import DegreeVector
 
 Root = tuple[int, int]
 
@@ -57,14 +57,6 @@ def pair_positive_root(gamma: Root, lam: DegreeVector) -> int:
     a, b = gamma
     ext = (0,) + tuple(lam) + (0,)
     return (ext[a] - ext[a - 1]) - (ext[b] - ext[b - 1])
-
-
-def reflection(gamma: Root, n: int) -> Permutation:
-    """The transposition (a, b) as a permutation of S_n."""
-    a, b = gamma
-    p = list(identity(n))
-    p[a - 1], p[b - 1] = p[b - 1], p[a - 1]
-    return tuple(p)
 
 
 def parabolic_positive_roots(delta_p: Iterable[int], n: int) -> frozenset[Root]:

@@ -6,14 +6,14 @@ Stored as line-oriented text, one record per term:
 
 with one-line permutations as concatenated digits (comma-separated from
 n = 10 on) and lambda as a comma-separated coefficient list; records sorted
-by (u, v, lambda, w) so identical tables are byte-identical.  Lines starting
-with '#' carry metadata; the first is the header, whose ``records=N`` lets
-``load`` reject a truncated file.  ``save`` writes a temporary file in the
-same directory and renames it over the target.
+by (u, v, lambda, w) so identical tables are byte-identical.  The one line
+starting with '#' is the header, whose ``records=N`` lets ``load`` reject a
+truncated file; ``load`` skips any other '#' line, so files that older
+versions wrote with metadata lines still load.  ``save`` writes a temporary
+file in the same directory and renames it over the target.
 """
 from __future__ import annotations
 
-import datetime
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +29,6 @@ FORMAT_VERSION = 1
 class StructureTable:
     n: int
     entries: dict[tuple[Permutation, Permutation], QClass] = field(default_factory=dict)
-    metadata: dict[str, str] = field(default_factory=dict)
 
     def put(self, u: Permutation, v: Permutation, cls: QClass) -> None:
         self.entries[(u, v)] = dict(cls)
@@ -50,8 +49,6 @@ class StructureTable:
         lines = [
             f"# flagq-table version={FORMAT_VERSION} n={self.n} records={len(records)}"
         ]
-        for key, val in sorted(self.metadata.items()):
-            lines.append(f"# {key}={val}")
         for us, vs, lam, ws, c in sorted(records):
             lam_s = ",".join(str(a) for a in lam)
             lines.append(f"{self.n} {us} {vs} {ws} {lam_s} {c}")
@@ -77,9 +74,6 @@ class StructureTable:
                     )
                     table = cls(n=int(parts["n"]))
                     expected = parts.get("records")
-                elif table is not None and "=" in line:
-                    k, _, v = line[1:].strip().partition("=")
-                    table.metadata[k] = v
                 continue
             if table is None:
                 raise ValueError(f"{path}:{lineno}: missing table header")
@@ -103,20 +97,17 @@ class StructureTable:
         return table
 
 
-def build_table(n: int, degree_cap: int | None = None) -> StructureTable:
-    """Full quantum product table over S_n pairs (u <= v in one-line order)."""
-    from . import __version__
+def table_path(cache_dir: str | Path, n: int) -> Path:
+    """Where the rank-n table lives in a cache directory."""
+    return Path(cache_dir) / f"table_n{n}.txt"
 
+
+def build_table(n: int) -> StructureTable:
+    """Full quantum product table over S_n pairs (u <= v in one-line order)."""
     table = StructureTable(n)
-    table.metadata["engine"] = __version__
-    table.metadata["generated"] = (
-        datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    )
     engine = get_engine(n, True)
     perms = weyl.all_permutations(n)
     for i, u in enumerate(perms):
         for v in perms[i:]:
-            if degree_cap is not None and weyl.length(u) + weyl.length(v) > degree_cap:
-                continue
             table.put(u, v, engine.product(u, v))
     return table

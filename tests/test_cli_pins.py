@@ -186,3 +186,16 @@ def test_cli_verify_failure_pinned(fmt, expected, monkeypatch, capsys):
     monkeypatch.setattr(seidel, "verify_seidel", failing_sweep)
     assert cli.main(["verify", "seidel", "--n", "3", "--format", fmt]) == 1
     assert capsys.readouterr().out == expected
+
+
+def test_json_output_renders_no_text(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("text rendered in JSON mode")
+
+    for name in dir(cli):
+        if name.startswith("render_"):
+            monkeypatch.setattr(cli, name, refuse)
+    expected = {name: out for name, fmt, out in PINS if fmt == "json"}
+    for name, (argv, code) in CASES.items():
+        assert cli.main(argv + ["--format", "json"]) == code
+        assert capsys.readouterr().out == expected[name]

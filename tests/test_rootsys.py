@@ -1,6 +1,6 @@
 import pytest
 
-from flagq import rootsys, weyl
+from flagq import rootsys
 
 
 def test_positive_roots_count():
@@ -24,10 +24,6 @@ def test_pairings_consistent():
             a, b = gamma
             total = sum(rootsys.pair_root(i, lam) for i in range(a, b))
             assert rootsys.pair_positive_root(gamma, lam) == total
-
-
-def test_reflection():
-    assert rootsys.reflection((1, 3), 4) == (3, 2, 1, 4)
 
 
 def test_parabolic_positive_roots():
