@@ -30,18 +30,6 @@ class UsageError(Exception):
 # Each command builds one JSON payload.  Its text output is a view of that
 # payload, rendered only when --format text asks for it.
 
-def class_to_json(cls) -> list[dict]:
-    return [
-        {
-            "q": list(lam),
-            "w": weyl.perm_to_string(w),
-            "word": list(weyl.canonical_word(w)),
-            "coeff": int(c),
-        }
-        for (lam, w), c in sorted(cls.items())
-    ]
-
-
 def render_magnitude(c: int, lam, symbol: str) -> str:
     """|c| when it is not 1, the q-monomial when it is not 1, then the symbol."""
     parts = [] if abs(c) == 1 else [str(abs(c))]
@@ -65,6 +53,18 @@ def render_class(terms: list[dict], letter: str = "s") -> str:
         else:
             parts.append(f"+ {text}" if c > 0 else f"- {text}")
     return " ".join(parts)
+
+
+def class_to_json(cls) -> list[dict]:
+    return [
+        {
+            "q": list(lam),
+            "w": weyl.perm_to_string(w),
+            "word": list(weyl.canonical_word(w)),
+            "coeff": int(c),
+        }
+        for (lam, w), c in sorted(cls.items())
+    ]
 
 
 def render_product(payload: dict) -> str:
