@@ -1,4 +1,4 @@
-"""Sparse integer polynomials, Schubert and Grothendieck polynomials.
+"""Sparse integer polynomials, Schubert polynomials and normal forms.
 
 A polynomial is a dict mapping exponent tuples (trailing zeros trimmed) to
 integer coefficients; the key () is the constant term.  x_i has exponent 1 in
@@ -124,26 +124,18 @@ def divided_diff(f: Poly, i: int) -> Poly:
     return out
 
 
-def isobaric_diff(f: Poly, i: int) -> Poly:
-    """pi_i f = partial_i((1 - x_{i+1}) f)."""
-    return divided_diff(padd(f, pmul(xvar(i + 1), f), -1), i)
-
-
-# one shared tuple per exponent vector, so that the Schubert and Grothendieck
-# memos do not each hold a copy
+# one shared tuple per exponent vector, so that the memoized Schubert
+# polynomials do not each hold a copy
 _monomials: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
-def _shared(f: Poly) -> Poly:
-    return {_monomials.setdefault(k, k): c for k, c in f.items()}
+@lru_cache(maxsize=None)
+def schubert(w: Permutation) -> Poly:
+    """Schubert polynomial S_w, indexed by a trimmed permutation.
 
-
-def _from_top(w: Permutation, poly, diff) -> Poly:
-    """The polynomial of w by descending divided differences from w_0.
-
-    ``poly`` is the memoized family itself and ``diff`` its operator: the
-    polynomial of w_0 in S_m is x_1^{m-1} x_2^{m-2} ... x_{m-1}, and that of
-    w is ``diff(poly(w s_i), i)`` at the first ascent i of w.
+    By descending divided differences from w_0: S_{w_0} in S_m is
+    x_1^{m-1} x_2^{m-2} ... x_{m-1}, and S_w = partial_i S_{w s_i} at the
+    first ascent i of w.
     """
     w = trim_perm(w)
     if not w:
@@ -152,19 +144,8 @@ def _from_top(w: Permutation, poly, diff) -> Poly:
     if w == tuple(range(m, 0, -1)):
         return {tuple(range(m - 1, 0, -1)): 1}
     i = next(i for i in range(1, m) if w[i - 1] < w[i])
-    return _shared(diff(poly(swap(w, i)), i))
-
-
-@lru_cache(maxsize=None)
-def schubert(w: Permutation) -> Poly:
-    """Schubert polynomial S_w, indexed by a trimmed permutation."""
-    return _from_top(w, schubert, divided_diff)
-
-
-@lru_cache(maxsize=None)
-def grothendieck(w: Permutation) -> Poly:
-    """Grothendieck polynomial G_w, via isobaric divided differences."""
-    return _from_top(w, grothendieck, isobaric_diff)
+    f = divided_diff(schubert(swap(w, i)), i)
+    return {_monomials.setdefault(k, k): c for k, c in f.items()}
 
 
 @lru_cache(maxsize=None)
@@ -303,20 +284,3 @@ def expand_schubert_homog(f: Poly, n: int) -> dict[Permutation, int]:
         accumulate(f, schubert(trim_perm(w)), -c)
     return out
 
-
-def expand_grothendieck(f: Poly, n: int) -> dict[Permutation, int]:
-    """Expand f in {G_w : w in S_n} modulo (e_1, ..., e_n).
-
-    Works up from the lowest total degree: the degree-d layer of what
-    remains is a sum of Schubert polynomials (G_w = S_w + higher order), and
-    subtracting the matched G_w's clears the layer.
-    """
-    out: dict[Permutation, int] = {}
-    f = normal_form(f, n)
-    while f:
-        d = min(sum(k) for k in f)
-        layer = {k: c for k, c in f.items() if sum(k) == d}
-        for w, c in expand_schubert_homog(layer, n).items():
-            out[w] = c
-            accumulate(f, grothendieck(w), -c)
-    return out

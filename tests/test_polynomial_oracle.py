@@ -9,13 +9,14 @@ import random
 
 import pytest
 
+from k_oracle import grothendieck
 import polynomial_oracle as oracle
 from flagq import polynomials as P
 from flagq import weyl
 
 
 def g_product(u, v):
-    return P.pmul(P.grothendieck(P.trim_perm(u)), P.grothendieck(P.trim_perm(v)))
+    return P.pmul(grothendieck(P.trim_perm(u)), grothendieck(P.trim_perm(v)))
 
 
 def test_every_grothendieck_product_in_s4():

@@ -160,6 +160,9 @@ def test_gr_alpha_values():
         assert qhring.gr_alpha(i, zero, weyl.simple_reflection(i, n)) == (1, 0)
         assert qhring.gr_alpha(i, zero, weyl.identity(n)) == (0, 0)
         assert qhring.gr_alpha(i, rootsys.coroot((i, i + 1), n), weyl.identity(n)) == (2, 0)
+    for i in (0, n):
+        with pytest.raises(ValueError):
+            qhring.gr_alpha(i, zero, weyl.identity(n))
     # components always sum to the total degree
     for u in weyl.all_permutations(4):
         for lam in [(0, 0, 0), (1, 0, 2)]:

@@ -33,5 +33,5 @@ def test_products_are_zero_free(s4_table):
             assert zero_free(qhring.classical_product(u, v))
     for m in range(1, n):
         for u in perms:
-            assert zero_free(ktheory.k_product(weyl.hook(n, m), u))
+            assert zero_free(ktheory.k_cup_special(m, u))
             assert zero_free(seidel.quantum_pieri(m, u))
