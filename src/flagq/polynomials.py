@@ -283,4 +283,3 @@ def expand_schubert_homog(f: Poly, n: int) -> dict[Permutation, int]:
         out[trim_perm(w)] = c
         accumulate(f, schubert(trim_perm(w)), -c)
     return out
-
