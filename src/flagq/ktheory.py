@@ -5,7 +5,7 @@ Classes are represented like quantum cohomology classes: a map from
 classical classes.  The hook class O^{s_{n-m}...s_{n-1}} is pulled back from
 P^{n-1}, where it is the m-th power of the hyperplane class, so it equals
 (O^{s_{n-1}})^m; a hook product applies the K-theoretic Monk operator of the
-divisor s_{n-1} (``qhring._k_divisor_moves``) m times.
+divisor s_{n-1} m times (``qhring.divisor_power``, as for cohomology).
 """
 from __future__ import annotations
 
@@ -24,17 +24,7 @@ class ConjectureViolation(RuntimeError):
 
 def k_cup_special(m: int, v: Permutation) -> KClass:
     """The hook product O^{s_{n-m}...s_{n-1}} . O^v = (O^{s_{n-1}})^m . O^v."""
-    n = len(v)
-    weyl.hook(n, m)  # rejects m outside 1..n-1
-    cls = {v: 1}
-    for _ in range(m):
-        out: dict[Permutation, int] = {}
-        polynomials.accumulate(out, (
-            (y, c * d) for x, c in cls.items() for y, d in qhring._k_divisor_moves(x)
-        ))
-        cls = out
-    zero = rootsys.zero_degree(n)
-    return {(zero, w): c for w, c in cls.items()}
+    return qhring.divisor_power(m, v, qhring._k_divisor_moves)
 
 
 def qk_conjecture_product(m: int, u: Permutation) -> KClass:
@@ -45,12 +35,10 @@ def qk_conjecture_product(m: int, u: Permutation) -> KClass:
         q_1^{-1} ... q_{n-1}^{1-n} q_{lambda(u,k)}
             T^{n-k}(k_cup_special(m, u^k)) termwise,
     where T(O^w) = q_{lambda(w)} O^{w^1} carries the cohomological Seidel data
-    (``seidel.seidel_conjugate``).  A negative final exponent raises
-    ConjectureViolation (it is not asserted impossible).
+    (``seidel.seidel_conjugate`` with the K-Monk moves).  A negative final
+    exponent raises ConjectureViolation (it is not asserted impossible).
     """
-    return seidel.seidel_conjugate(
-        m, u, lambda _hook, v: k_cup_special(m, v), ConjectureViolation
-    )
+    return seidel.seidel_conjugate(m, u, qhring._k_divisor_moves, ConjectureViolation)
 
 
 # --- projection to G/P ------------------------------------------------------

@@ -1,13 +1,14 @@
 """The QH*(Fl_n) engine.
 
 Elements are sparse maps (degree vector, permutation) -> integer
-coefficient.  The only multiplication rule built in is the quantum Chevalley
-formula (product with a divisor class sigma^{s_i}).  Differences of two
-Chevalley operators give the quantum Monk operators X_r of Fomin, Gelfand
-and Postnikov, and the Lascoux-Schutzenberger transition step writes every
-sigma^w != sigma^id as X_r sigma^v plus classes that are shorter, or as long
-and lexicographically larger.  Products follow by an integer recursion on
-the shorter factor, memoized per rank.
+coefficient.  Every rule is read off the quantum Bruhat graph (_edge): the
+quantum Monk operators X_r of Fomin, Gelfand and Postnikov, their sums
+X_1 + ... + X_i (the quantum Chevalley operators), and the divisor s_{n-1}
+in H* and in K, whose powers are the hook products.  The
+Lascoux-Schutzenberger transition step writes every sigma^w != sigma^id as
+X_r sigma^v plus classes that are shorter, or as long and lexicographically
+larger.  Products follow by an integer recursion on the shorter factor,
+memoized per rank.
 
 The same recursion with the quantum terms switched off yields the classical
 cup product, which agrees with the q=0 truncation of the quantum product.
@@ -23,7 +24,6 @@ from typing import Iterable, Optional
 from . import rootsys, weyl
 from .polynomials import accumulate
 from .reporting import VerifyReport
-from .rootsys import Root
 from .weyl import DegreeVector, Permutation, identity, length, sgn_alpha, swap
 
 # a QClass: finite formal sum of coefficients on (degree, permutation) pairs
@@ -37,7 +37,7 @@ def qclass(u: Permutation, lam: Optional[DegreeVector] = None) -> QClass:
     return {(lam, u): 1}
 
 
-# --- quantum Chevalley formula --------------------------------------------
+# --- quantum Bruhat edges and the divisor s_{n-1} ---------------------------
 
 # one shared object per permutation reached by a move, so that the move
 # lists and the product memos do not each hold a copy
@@ -76,30 +76,15 @@ def _move(w: Permutation, a: int, b: int) -> Permutation:
 
 
 @lru_cache(maxsize=None)
-def _chevalley_moves(
-    w: Permutation, i: int, quantum: bool
-) -> tuple[tuple[Optional[Root], Permutation], ...]:
-    """Moves of the (quantum) Chevalley formula on a single basis class.
+def _divisor_moves(w: Permutation) -> tuple[tuple[Permutation, int], ...]:
+    """sigma^{s_{n-1}} . sigma^w in H*(Fl_n) as (permutation, coefficient) terms.
 
-    For each positive root gamma = e_a - e_b with <chi_i, gamma^vee> = 1
-    (i.e. a <= i < b): a classical move to w s_gamma when the length goes up
-    by one, and a quantum move (tagged with gamma) when it drops by
-    <2 rho, gamma^vee> - 1 = 2(b-a) - 1.  Both tests are local (_edge): the
-    length goes up by one iff w(a) < w(b) and no c in (a, b) has w(c)
-    between them, and drops by 2(b-a) - 1 iff w(a) > w(b) and every such c
-    does, because only the pairs through a c with w(c) between w(a) and w(b)
-    change order, two for each c, besides (a, b) itself.
+    Monk's rule for the divisor s_{n-1}: one term w t_{an} for each a < n
+    with w -> w t_{an} a Bruhat cover (_edge), the one-step chains of
+    _k_divisor_moves.
     """
     n = len(w)
-    out = []
-    for a in range(1, i + 1):
-        for b in range(i + 1, n + 1):
-            e = _edge(w, a, b)
-            if e == 1:
-                out.append((None, _move(w, a, b)))
-            elif quantum and e == -1:
-                out.append(((a, b), _move(w, a, b)))
-    return tuple(out)
+    return tuple((_move(w, a, n), 1) for a in range(1, n) if _edge(w, a, n) == 1)
 
 
 @lru_cache(maxsize=None)
@@ -126,17 +111,23 @@ def _k_divisor_moves(w: Permutation) -> tuple[tuple[Permutation, int], ...]:
     return tuple(out)
 
 
-def quantum_chevalley(i: int, c: QClass, n: int, quantum: bool = True) -> QClass:
-    """Multiply a class by the divisor sigma^{s_i}, extending linearly."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"simple index {i} out of range for n={n}")
-    out: QClass = {}
-    accumulate(out, (
-        ((lam if gamma is None else _add_degrees(lam, _coroot(gamma, n)), wp), coeff)
-        for (lam, w), coeff in c.items()
-        for gamma, wp in _chevalley_moves(w, i, quantum)
-    ))
-    return out
+def divisor_power(m: int, v: Permutation, moves) -> QClass:
+    """The hook product [s_{n-m}...s_{n-1}] . [v] = [s_{n-1}]^m . [v], 1 <= m < n.
+
+    The hook class is pulled back from P^{n-1}, where it is the m-th power of
+    the hyperplane class.  ``moves(w)`` lists [s_{n-1}] . [w] as (permutation,
+    coefficient) terms: _divisor_moves in H*, _k_divisor_moves in K.
+    """
+    n = len(v)
+    if not 1 <= m <= n - 1:
+        raise ValueError(f"hook size {m} out of range for n={n}")
+    cls = {v: 1}
+    for _ in range(m):
+        out: dict[Permutation, int] = {}
+        accumulate(out, ((y, c * d) for x, c in cls.items() for y, d in moves(x)))
+        cls = out
+    zero = _zero(n)
+    return {(zero, w): c for w, c in cls.items()}
 
 
 # --- transition engine ------------------------------------------------------
@@ -167,6 +158,24 @@ def _monk_moves(
     return tuple(out)
 
 
+def quantum_chevalley(i: int, c: QClass, n: int, quantum: bool = True) -> QClass:
+    """Multiply a class by the divisor sigma^{s_i}, extending linearly.
+
+    sigma^{s_i} = X_1 + ... + X_i, as X_r = sigma^{s_r} - sigma^{s_{r-1}}
+    telescopes; the moves over (a, b) with b <= i cancel between X_a and X_b.
+    """
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"simple index {i} out of range for n={n}")
+    out: QClass = {}
+    accumulate(out, (
+        ((_add_degrees(lam, shift), x), sign * coeff)
+        for (lam, w), coeff in c.items()
+        for r in range(1, i + 1)
+        for sign, shift, x in _monk_moves(w, r, quantum)
+    ))
+    return out
+
+
 @lru_cache(maxsize=None)
 def _transition(
     w: Permutation, quantum: bool
@@ -183,9 +192,7 @@ def _transition(
     n = len(w)
     r = max(i for i in range(1, n) if w[i - 1] > w[i])
     s = max(j for j in range(r + 1, n + 1) if w[j - 1] < w[r - 1])
-    v = list(w)
-    v[r - 1], v[s - 1] = v[s - 1], v[r - 1]
-    v = tuple(v)
+    v = _move(w, r, s)
     top = (_zero(n), w)
     rest = tuple(
         (-sign, lam, x) for sign, lam, x in _monk_moves(v, r, quantum) if (lam, x) != top

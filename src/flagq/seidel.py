@@ -4,11 +4,10 @@ The Seidel operator T is quantum multiplication by sigma^{s_1...s_{n-1}}; on
 the basis it acts by T(sigma^u) = q_{lambda(u)} sigma^{u^1}, where u^1 is the
 left rotation of u and lambda(u) is read off the position of n in u.
 Every product with a hook class sigma^{s_{n-m}...s_{n-1}} then reduces to a
-classical cup product conjugated by powers of T.
+classical hook product, a power of the divisor sigma^{s_{n-1}}, conjugated
+by powers of T; the sweeps check these closed forms against the engine.
 """
 from __future__ import annotations
-
-from typing import Callable
 
 from . import qhring, rootsys, weyl
 from .polynomials import accumulate
@@ -24,8 +23,6 @@ def seidel_apply(u: Permutation) -> tuple[DegreeVector, Permutation]:
 
 def seidel_power(u: Permutation, k: int) -> tuple[DegreeVector, Permutation]:
     """T^k(sigma^u) = q_{lambda(u,k)} sigma^{u^k}."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     return weyl.lambda_cumulative(u, k), weyl.u_up(u, k)
 
 
@@ -33,29 +30,22 @@ class PieriFormulaError(RuntimeError):
     """The closed-form q-prefactor failed to divide; an implementation bug."""
 
 
-def seidel_conjugate(
-    m: int,
-    u: Permutation,
-    cup: Callable[[Permutation, Permutation], QClass],
-    error: type[Exception],
-) -> QClass:
+def seidel_conjugate(m: int, u: Permutation, moves, error: type[Exception]) -> QClass:
     """The hook product sigma^{s_{n-m}...s_{n-1}} * sigma^u by Seidel conjugation.
 
     With k = n - u(n),
         q_1^{-1} q_2^{-2} ... q_{n-1}^{1-n} q_{lambda(u,k)}
-            T^{n-k}(cup(s_{n-m}...s_{n-1}, u^k)),
-    computed termwise from the classical product ``cup`` (cohomology or K
-    theory).  The inverse prefactor must divide out exactly; a negative final
-    exponent raises ``error``.
+            T^{n-k}(hook_m . u^k),
+    computed termwise from qhring.divisor_power(m, u^k, moves), the classical
+    hook product in cohomology or K theory.  The inverse prefactor must
+    divide out exactly; a negative final exponent raises ``error``.
     """
     n = len(u)
     k = n - u[-1]
     base = weyl.lambda_cumulative(u, k)
     prefactor = tuple(-i for i in range(1, n))
     terms = []
-    zero = rootsys.zero_degree(n)
-    for (lam, w), c in cup(weyl.hook(n, m), weyl.u_up(u, k)).items():
-        assert lam == zero
+    for (_, w), c in qhring.divisor_power(m, weyl.u_up(u, k), moves).items():
         shift, w_up = seidel_power(w, n - k)
         q = tuple(a + b + p for a, b, p in zip(shift, base, prefactor))
         if min(q, default=0) < 0:
@@ -69,10 +59,10 @@ def seidel_conjugate(
 def quantum_pieri(m: int, u: Permutation) -> QClass:
     """sigma^{s_{n-m}...s_{n-1}} * sigma^u by the Seidel closed form.
 
-    ``seidel_conjugate`` of the classical cup product; a prefactor that fails
-    to divide raises PieriFormulaError.
+    ``seidel_conjugate`` of a power of Monk's operator for s_{n-1}, with no
+    product engine; a prefactor that fails to divide raises PieriFormulaError.
     """
-    return seidel_conjugate(m, u, qhring.classical_product, PieriFormulaError)
+    return seidel_conjugate(m, u, qhring._divisor_moves, PieriFormulaError)
 
 
 # --- verification sweeps ---------------------------------------------------

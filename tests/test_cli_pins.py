@@ -11,6 +11,9 @@ from flagq.reporting import VerifyReport
 # name -> (argv, exit status)
 CASES = {
     "verify": (["verify", "all", "--n", "3"], 0),
+    # the closed-form Pieri rule against the product engine, past the n <= 4
+    # where the comparison is on by default
+    "verify-pieri": (["verify", "pieri", "--n", "5", "--engine-check"], 0),
     "reduce": (["reduce", "--n", "4", "--u-word", "3,2,1,2", "--v-word", "2,1,2",
                 "--w-word", "1,2,3", "--lambda", "1,1,0"], 0),
     "explore": (["explore", "--n", "3", "--i", "1", "--j", "2"], 0),
@@ -78,6 +81,10 @@ PINS = [
      '{"counterexamples": [], "n": 3, "name": "filtration", "passed": 36, "total": 36}, '
      '{"counterexamples": [], "n": 3, "name": "ktheory", "passed": 18, "total": 18}'
      '], "schema": 1}\n'),
+    ("verify-pieri", "text", "pieri n=5: 480/480 pass\n"),
+    ("verify-pieri", "json",
+     '{"reports": [{"counterexamples": [], "n": 5, "name": "pieri", "passed": 480, '
+     '"total": 480}], "schema": 1}\n'),
     ("reduce", "text",
      "  N[u=4213, v=3214; w=2341, lam=1,1,0]\n"
      "= [alpha_3[01]] N[u=4213, v=3241; w=2314, lam=1,1,1]\n"

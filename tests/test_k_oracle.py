@@ -7,6 +7,7 @@ and expands them modulo the ideal.  A class has one expansion in the
 Grothendieck basis, so the two must agree term for term.
 """
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -23,8 +24,16 @@ def hook_cases(n):
     return [(m, v) for m in range(1, n) for v in weyl.all_permutations(n)]
 
 
+@lru_cache(maxsize=None)
+def oracle_divisor_moves(w):
+    """O^{s_{n-1}} . O^w from the oracle, as a move list for seidel_conjugate."""
+    return tuple((y, c) for (_, y), c in oracle.k_product(weyl.hook(len(w), 1), w).items())
+
+
 def oracle_qk(m, u):
-    return seidel.seidel_conjugate(m, u, oracle.k_product, ktheory.ConjectureViolation)
+    return seidel.seidel_conjugate(
+        m, u, oracle_divisor_moves, ktheory.ConjectureViolation
+    )
 
 
 @pytest.mark.parametrize("n", range(2, 6))

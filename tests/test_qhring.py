@@ -59,6 +59,33 @@ def test_chevalley_degree_axiom():
 
 # --- products ---------------------------------------------------------------
 
+def hook_cases(n):
+    return [(m, v) for m in range(1, n) for v in weyl.all_permutations(n)]
+
+
+def assert_divisor_power_is_cup_product(n, m, v):
+    # the hook class is (sigma^{s_{n-1}})^m in H*(Fl_n): Monk's rule m times
+    power = qhring.divisor_power(m, v, qhring._divisor_moves)
+    assert power == qhring.classical_product(weyl.hook(n, m), v), (m, v)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_divisor_power_is_hook_cup_product(n):
+    for m, v in hook_cases(n):
+        assert_divisor_power_is_cup_product(n, m, v)
+
+
+def test_divisor_power_is_hook_cup_product_sampled_n6():
+    for m, v in random.Random(6).sample(hook_cases(6), 300):
+        assert_divisor_power_is_cup_product(6, m, v)
+
+
+def test_divisor_power_rejects_hook_size():
+    for m in (0, 4):
+        with pytest.raises(ValueError):
+            qhring.divisor_power(m, weyl.identity(4), qhring._divisor_moves)
+
+
 def test_fl5_product_golden():
     u = (4, 3, 5, 1, 2)
     v = sigma([2, 3, 4], 5)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from flagq import qhring, rootsys, seidel, weyl
+from flagq import ktheory, qhring, rootsys, seidel, weyl
 
 
 def test_seidel_apply_examples():
@@ -28,6 +28,8 @@ def test_seidel_power_composes():
                     acc = rootsys.add_degrees(acc, step)
                 assert (lam, up) == (acc, r)
     assert seidel.seidel_power((2, 1, 3), 0) == ((0, 0), (2, 1, 3))
+    with pytest.raises(ValueError):
+        seidel.seidel_power((2, 1, 3), -1)
 
 
 def test_seidel_nth_power_is_q_monomial():
@@ -123,6 +125,23 @@ def test_pieri_no_negative_exponents_n5():
     for m in range(1, 5):
         for u in weyl.all_permutations(5):
             seidel.quantum_pieri(m, u)  # raises PieriFormulaError on failure
+
+
+def test_closed_forms_use_no_product_engine(monkeypatch):
+    # quantum Pieri and the QK product come from divisor powers alone, so
+    # they are an independent check on the engine
+    n = 4
+    cases = [(m, u) for m in range(1, n) for u in weyl.all_permutations(n)]
+    pieri = {(m, u): qhring.quantum_product(weyl.hook(n, m), u) for m, u in cases}
+    qk = {(m, u): ktheory.qk_conjecture_product(m, u) for m, u in cases}
+
+    def refuse(*args):
+        raise AssertionError("product engine called")
+
+    monkeypatch.setattr(qhring, "get_engine", refuse)
+    for m, u in cases:
+        assert seidel.quantum_pieri(m, u) == pieri[(m, u)], (m, u)
+        assert ktheory.qk_conjecture_product(m, u) == qk[(m, u)], (m, u)
 
 
 def test_seidel_linearity_over_products():
