@@ -196,7 +196,7 @@ def cmd_qk_conjecture(args) -> int:
     n = args.n
     check_hook(args)
     u = parse_perm(args, n, "u")
-    if args.project:
+    if args.project is not None:
         dp = user_input(
             "--project",
             lambda: sorted(int(p) for p in args.project.replace(",", " ").split()),
@@ -210,7 +210,7 @@ def cmd_qk_conjecture(args) -> int:
         print(f"flagq: counterexample: {e}", file=sys.stderr)
         return 1
     payload = {"n": n, "terms": class_to_json(cls)}
-    if args.project:
+    if args.project is not None:
         rows = ktheory.partition_labels(ktheory.pi_star(dp, cls), missing[0])
         payload["projected"] = [
             {"partition": list(mu), "q": list(lam), "coeff": int(c)}
@@ -223,7 +223,10 @@ def cmd_qk_conjecture(args) -> int:
 def cmd_table(args) -> int:
     t = table.build_table(args.n)
     path = table.table_path(args.cache_dir, args.n)
-    t.save(path)
+    try:
+        t.save(path)
+    except OSError as e:
+        raise UsageError(f"--cache-dir: {e}") from None
     emit(
         {"n": args.n, "path": str(path), "entries": len(t.entries)},
         render_table,

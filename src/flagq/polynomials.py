@@ -2,7 +2,9 @@
 
 A polynomial is a dict mapping exponent tuples (trailing zeros trimmed) to
 integer coefficients; the key () is the constant term.  x_i has exponent 1 in
-slot i-1.
+slot i-1.  ``normal_form``, the reduction modulo (e_1, ..., e_n) in one pass
+over a heap of exponent tuples, is called only by the benchmark's correctness
+gate and by the tests.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import itertools
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from operator import add, lt
+from operator import add, lt, neg, sub
 
 from .weyl import Permutation, swap
 
@@ -124,11 +126,6 @@ def divided_diff(f: Poly, i: int) -> Poly:
     return out
 
 
-# one shared tuple per exponent vector, so that the memoized Schubert
-# polynomials do not each hold a copy
-_monomials: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-
 @lru_cache(maxsize=None)
 def schubert(w: Permutation) -> Poly:
     """Schubert polynomial S_w, indexed by a trimmed permutation.
@@ -144,54 +141,29 @@ def schubert(w: Permutation) -> Poly:
     if w == tuple(range(m, 0, -1)):
         return {tuple(range(m - 1, 0, -1)): 1}
     i = next(i for i in range(1, m) if w[i - 1] < w[i])
-    f = divided_diff(schubert(swap(w, i)), i)
-    return {_monomials.setdefault(k, k): c for k, c in f.items()}
+    return divided_diff(schubert(swap(w, i)), i)
 
 
 @lru_cache(maxsize=None)
 def complete_homog(k: int, i: int) -> Poly:
-    """h_k(x_1, ..., x_i)."""
-    out: Poly = {}
-    for comb in itertools.combinations_with_replacement(range(1, i + 1), k):
-        e = [0] * i
-        for c in comb:
-            e[c - 1] += 1
-        kk = trim_exponents(tuple(e))
-        out[kk] = out.get(kk, 0) + 1
-    return out
-
-
-def _pack(k: tuple[int, ...], w: int) -> int:
-    """The exponent vector k as an integer of w-bit fields, x_1 in the lowest."""
-    return sum(e << (w * s) for s, e in enumerate(k))
+    """h_k(x_1, ..., x_i): each multiset of k variables gives one monomial."""
+    return {
+        trim_exponents(tuple(map(comb.count, range(i)))): 1
+        for comb in itertools.combinations_with_replacement(range(i), k)
+    }
 
 
 @lru_cache(maxsize=None)
-def _rewrite_table(n: int, w: int) -> tuple[tuple[tuple[int, ...], ...], int, int]:
-    """The rewrite table of ``normal_form`` for S_n and w-bit fields.
-
-    ``normal_form`` rewrites packed monomials (``_pack``): x_n sits in the
-    top field, so integer order is the reversed-exponent order.  In the
-    quotient h_d(x_1..x_i) = 0 with d = n - i + 1, so x_i^d equals minus the
-    other monomials of h_d(x_1..x_i), each of coefficient 1.  Row i - 1
-    holds, per such monomial, its packed exponents minus those of x_i^d:
-    adding it to a monomial over its bound in x_i rewrites that factor x_i^d
-    into one term of its tail.
-
-    With every field below 2^(w-1), ``(m + over) & high`` has the top bit of
-    field i - 1 set iff the exponent of x_i in m is at least its bound d.
+def _shifts(n: int, i: int) -> tuple[tuple[int, ...], ...]:
+    """Shifts, at length n, that rewrite x_i^d (d = n - i + 1) into minus the
+    other monomials of h_d(x_1..x_i): their exponents minus those of x_i^d.
     """
-    tails = []
-    for i in range(1, n + 1):
-        lead = (0,) * (i - 1) + (n - i + 1,)
-        tails.append(tuple(
-            _pack(k, w) - _pack(lead, w)
-            for k in complete_homog(n - i + 1, i) if k != lead
-        ))
-    half = 1 << (w - 1)
-    over = sum((half - (n - s)) << (w * s) for s in range(n))
-    high = sum(half << (w * s) for s in range(n))
-    return tuple(tails), over, high
+    d = n - i + 1
+    lead = (0,) * (i - 1) + (d,)
+    return tuple(
+        tuple(map(sub, pad(k, n), pad(lead, n)))
+        for k in complete_homog(d, i) if k != lead
+    )
 
 
 def normal_form(f: Poly, n: int) -> Poly:
@@ -205,64 +177,44 @@ def normal_form(f: Poly, n: int) -> Poly:
     basis (their leading monomials are coprime), so the result does not
     depend on the order of the rewrites.
 
-    Monomials that are already reduced go straight to the result.  The
-    others wait in one accumulator and are rewritten largest first, always
-    at the lowest-index variable over its bound: every contribution to a
-    monomial comes from a larger one, so it has arrived before the monomial
-    is rewritten, and each monomial is rewritten once.  A monomial in
-    x_{n+1} or a later variable raises ValueError.
+    Reduced monomials go straight to the result; the others wait in a heap
+    and are rewritten largest first, at the lowest-index variable over its
+    bound.  Every contribution to a monomial comes from a larger one, so each
+    is rewritten once.  A monomial in x_{n+1} or later raises ValueError.
     """
     bound = tuple(range(n, 0, -1))
     out: Poly = {}
-    todo = []
+    pending: Poly = {}  # unreduced monomials, padded to length n
     for k, c in f.items():
-        if len(k) > n and any(k[n:]):
+        if any(k[n:]):
             raise ValueError(f"monomial {k} involves a variable beyond x_{n}")
         if k and not k[-1]:
             k = trim_exponents(k)
         if all(map(lt, k, bound)):
             out[k] = out.get(k, 0) + c
         else:
-            todo.append((k, c))
-    if todo:
-        # rewrites keep the total degree, which bounds every exponent
-        w = max(n, max(sum(k) for k, _ in todo)).bit_length() + 1
-        for m, c in _rewrite(todo, n, w).items():
-            k = trim_exponents(tuple((m >> (w * s)) & ((1 << w) - 1) for s in range(n)))
-            out[k] = out.get(k, 0) + c
-    return {k: c for k, c in out.items() if c}
-
-
-def _rewrite(todo: list[tuple[tuple[int, ...], int]], n: int, w: int) -> dict[int, int]:
-    """The normal form of the unreduced terms ``todo``, keyed by packed monomial.
-
-    Coefficients that cancelled stay in the result as 0.
-    """
-    tails, over, high = _rewrite_table(n, w)
-    pending: dict[int, int] = {}
-    for k, c in todo:
-        m = _pack(k, w)
-        pending[m] = pending.get(m, 0) + c
-    # a min-heap of negated monomials pops the largest first
-    heap = [-m for m in pending]
+            k = pad(k, n)
+            pending[k] = pending.get(k, 0) + c
+    # negated reversed exponents: the min-heap pops the largest monomial first
+    heap = [(tuple(map(neg, reversed(k))), k) for k in pending]
     heapify(heap)
-    out: dict[int, int] = {}
     while heap:
-        m = -heappop(heap)
-        c = pending.pop(m)
+        k = heappop(heap)[1]
+        c = pending.pop(k)
         if not c:
             continue
-        flags = (m + over) & high
-        for delta in tails[(flags & -flags).bit_length() // w - 1]:
-            t = m + delta
-            if not (t + over) & high:
+        i = next(i for i in range(1, n + 1) if k[i - 1] >= bound[i - 1])
+        for s in _shifts(n, i):
+            t = tuple(map(add, k, s))
+            if all(map(lt, t, bound)):
+                t = trim_exponents(t)
                 out[t] = out.get(t, 0) - c
             elif t in pending:
                 pending[t] -= c
             else:
                 pending[t] = -c
-                heappush(heap, -t)
-    return out
+                heappush(heap, (tuple(map(neg, reversed(t))), t))
+    return {k: c for k, c in out.items() if c}
 
 
 def expand_schubert_homog(f: Poly, n: int) -> dict[Permutation, int]:
@@ -275,11 +227,10 @@ def expand_schubert_homog(f: Poly, n: int) -> dict[Permutation, int]:
     f = dict(f)
     while f:
         mx = max(len(k) for k in f)
-        lt = max(f, key=lambda k: tuple(reversed(pad(k, mx))))
-        w = perm_from_code(pad(lt, mx))
-        if len(trim_perm(w)) > n:
-            raise ValueError(f"leading code {lt} is not a code of S_{n}")
-        c = f[lt]
-        out[trim_perm(w)] = c
-        accumulate(f, schubert(trim_perm(w)), -c)
+        top = max(f, key=lambda k: tuple(reversed(pad(k, mx))))
+        w = trim_perm(perm_from_code(pad(top, mx)))
+        if len(w) > n:
+            raise ValueError(f"leading code {top} is not a code of S_{n}")
+        out[w] = f[top]
+        accumulate(f, schubert(w), -out[w])
     return out

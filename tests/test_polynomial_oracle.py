@@ -2,8 +2,8 @@
 
 The oracle (``polynomial_oracle.py``) rewrites one monomial at a time and
 rescans the whole polynomial after each step; the engine rewrites each
-monomial once, largest first, from a precomputed table.  The normal form is
-unique, so the two must agree term for term.
+monomial once, largest first, from a heap.  The normal form is unique, so
+the two must agree term for term.
 """
 import random
 
@@ -51,6 +51,25 @@ def test_sampled_hook_products_at_n6():
         if checked == 40:
             break
     assert checked == 40
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_sampled_schubert_products(n):
+    # the Schubert cups of the benchmark's correctness gate, of degree at
+    # most dim Fl_n
+    rng = random.Random(n)
+    perms = weyl.all_permutations(n)
+    checked = nonzero = 0
+    while checked < 200:
+        u, v = rng.choice(perms), rng.choice(perms)
+        if weyl.length(u) + weyl.length(v) > n * (n - 1) // 2:
+            continue
+        checked += 1
+        f = P.pmul(P.schubert(P.trim_perm(u)), P.schubert(P.trim_perm(v)))
+        nf = P.normal_form(f, n)
+        assert nf == oracle.normal_form(f, n), (u, v)
+        nonzero += bool(nf)
+    assert nonzero >= 60
 
 
 def test_reduced_input_is_unchanged():

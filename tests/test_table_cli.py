@@ -215,6 +215,13 @@ def test_cli_qk_projection_text():
     assert "- O(3, 3, 2)" in r.stdout
 
 
+def test_cli_qk_empty_projection(capsys):
+    # at n = 2 the empty Delta_P is the one valid projection, to Gr(1, 2)
+    assert cli.main(["qk-conjecture", "--n", "2", "--hook", "1", "--u", "21",
+                     "--project", ""]) == 0
+    assert capsys.readouterr().out == "q1*O[]\nprojected:\n+ q1*O()\n"
+
+
 def test_render_class_edge_cases():
     def render(cls):
         return cli.render_class(cli.class_to_json(cls))
@@ -279,6 +286,8 @@ def test_cli_reduce_stuck_exits_1_with_engine_value(u, v, w, capsys):
         ["product", "--n", "3", "--u-word", "3", "--v", "123"],
         ["k-product", "--n", "4", "--hook", "4", "--v", "1234"],
         ["qk-conjecture", "--n", "4", "--hook", "1", "--u", "1234", "--project", "1"],
+        # an empty Delta_P is valid only at n = 2
+        ["qk-conjecture", "--n", "3", "--hook", "1", "--u", "213", "--project", ""],
         ["explore", "--n", "4", "--i", "3", "--j", "2"],
     ],
 )
@@ -300,6 +309,18 @@ def test_cache_dir_only_where_it_acts(tmp_path, capsys):
             cli.main(argv)
         assert exit_info.value.code == 2
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_cache_dir_that_is_a_file_is_usage_error(tmp_path, capsys, below):
+    cache = tmp_path / "file"
+    cache.write_text("")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["table", "--n", "3", "--cache-dir", str(cache / "sub" if below else cache)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flagq: --cache-dir: ") and "Traceback" not in err
+    assert cache.read_text() == ""
 
 
 def test_cli_engine_fault_is_internal_error(monkeypatch, capsys):
