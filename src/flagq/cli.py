@@ -149,10 +149,10 @@ def parse_perm(args, n: int, flag: str):
 
 
 def user_input(what: str, parse):
-    """parse(), with the ValueError of malformed input turned into a UsageError."""
+    """parse(), with the ValueError or OSError of bad input turned into a UsageError."""
     try:
         return parse()
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         raise UsageError(f"{what}: {e}") from None
 
 

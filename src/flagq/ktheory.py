@@ -34,9 +34,9 @@ def qk_conjecture_product(m: int, u: Permutation) -> KClass:
     k = n - u(n),
         q_1^{-1} ... q_{n-1}^{1-n} q_{lambda(u,k)}
             T^{n-k}(k_cup_special(m, u^k)) termwise,
-    where T(O^w) = q_{lambda(w)} O^{w^1} carries the cohomological Seidel data
-    (``seidel.seidel_conjugate`` with the K-Monk moves).  A negative final
-    exponent raises ConjectureViolation (it is not asserted impossible).
+    where T(O^w) = q_{lambda(w)} O^{w^1} carries the cohomological Seidel data,
+    in closed form (``seidel.seidel_conjugate`` with the K-Monk moves).  A
+    negative final exponent raises ConjectureViolation (not asserted impossible).
     """
     return seidel.seidel_conjugate(m, u, qhring._k_divisor_moves, ConjectureViolation)
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from operator import add, gt
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import rootsys, weyl
 from .polynomials import accumulate
@@ -111,21 +112,30 @@ def _k_divisor_moves(w: Permutation) -> tuple[tuple[Permutation, int], ...]:
     return tuple(out)
 
 
+def divisor_powers(v: Permutation, moves) -> Iterator[dict[Permutation, int]]:
+    """Yield [s_{n-1}]^m . [v] as {permutation: coefficient} for m = 1, ..., n-1.
+
+    ``moves(w)`` lists [s_{n-1}] . [w] as (permutation, coefficient) terms:
+    _divisor_moves in H*, _k_divisor_moves in K.
+    """
+    cls = {v: 1}
+    for _ in range(len(v) - 1):
+        out: dict[Permutation, int] = {}
+        accumulate(out, ((y, c * d) for x, c in cls.items() for y, d in moves(x)))
+        cls = out
+        yield cls
+
+
 def divisor_power(m: int, v: Permutation, moves) -> QClass:
     """The hook product [s_{n-m}...s_{n-1}] . [v] = [s_{n-1}]^m . [v], 1 <= m < n.
 
     The hook class is pulled back from P^{n-1}, where it is the m-th power of
-    the hyperplane class.  ``moves(w)`` lists [s_{n-1}] . [w] as (permutation,
-    coefficient) terms: _divisor_moves in H*, _k_divisor_moves in K.
+    the hyperplane class: the m-th class of divisor_powers, in degree zero.
     """
     n = len(v)
     if not 1 <= m <= n - 1:
         raise ValueError(f"hook size {m} out of range for n={n}")
-    cls = {v: 1}
-    for _ in range(m):
-        out: dict[Permutation, int] = {}
-        accumulate(out, ((y, c * d) for x, c in cls.items() for y, d in moves(x)))
-        cls = out
+    cls = next(islice(divisor_powers(v, moves), m - 1, None))
     zero = _zero(n)
     return {(zero, w): c for w, c in cls.items()}
 

@@ -9,8 +9,10 @@ by powers of T; the sweeps check these closed forms against the engine.
 """
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import itemgetter, sub
+
 from . import qhring, rootsys, weyl
-from .polynomials import accumulate
 from .qhring import QClass
 from .reporting import VerifyReport
 from .weyl import DegreeVector, Permutation
@@ -30,30 +32,36 @@ class PieriFormulaError(RuntimeError):
     """The closed-form q-prefactor failed to divide; an implementation bug."""
 
 
-def seidel_conjugate(m: int, u: Permutation, moves, error: type[Exception]) -> QClass:
-    """The hook product sigma^{s_{n-m}...s_{n-1}} * sigma^u by Seidel conjugation.
+def conjugate_power(m: int, u: Permutation, terms, error: type[Exception]) -> QClass:
+    """Seidel conjugation of the terms (w, c) of [s_{n-1}]^m . [u^k], k = n - u(n).
 
-    With k = n - u(n),
-        q_1^{-1} q_2^{-2} ... q_{n-1}^{1-n} q_{lambda(u,k)}
-            T^{n-k}(hook_m . u^k),
-    computed termwise from qhring.divisor_power(m, u^k, moves), the classical
-    hook product in cohomology or K theory.  The inverse prefactor must
-    divide out exactly; a negative final exponent raises ``error``.
+    T^{n-k}(sigma^w) = q_{lambda(w,n-k)} sigma^{w^{n-k}}: w^{n-k} sends each
+    value x to x - k mod n, and lambda(w,n-k)_i counts the values above k in
+    w(1..i).  So with the prefactor the term has degree
+        q_i = lambda(u,k)_i - #{j <= i : w(j) <= k};
+    no two terms collect, and a negative exponent raises ``error``.
     """
     n = len(u)
     k = n - u[-1]
     base = weyl.lambda_cumulative(u, k)
-    prefactor = tuple(-i for i in range(1, n))
-    terms = []
-    for (_, w), c in qhring.divisor_power(m, weyl.u_up(u, k), moves).items():
-        shift, w_up = seidel_power(w, n - k)
-        q = tuple(a + b + p for a, b, p in zip(shift, base, prefactor))
-        if min(q, default=0) < 0:
-            raise error(f"negative exponent {q} at term {w} for m={m}, u={u}")
-        terms.append(((q, w_up), c))
+    rotate = (0, *range(n - k + 1, n + 1), *range(1, n - k + 1))  # x -> x - k mod n
     out: QClass = {}
-    accumulate(out, terms)
+    for w, c in terms:
+        q = tuple(map(sub, base, accumulate(map(k.__ge__, w))))
+        if min(q) < 0:
+            raise error(f"negative exponent {q} at term {w} for m={m}, u={u}")
+        out[(q, tuple(rotate[x] for x in w))] = c
     return out
+
+
+def seidel_conjugate(m: int, u: Permutation, moves, error: type[Exception]) -> QClass:
+    """The hook product sigma^{s_{n-m}...s_{n-1}} * sigma^u by Seidel conjugation.
+
+    q_1^{-1} ... q_{n-1}^{1-n} q_{lambda(u,k)} T^{n-k}(hook_m . u^k), k = n - u(n):
+    conjugate_power of divisor_power(m, u^k, moves), in cohomology or K theory.
+    """
+    power = qhring.divisor_power(m, weyl.u_up(u, len(u) - u[-1]), moves)
+    return conjugate_power(m, u, ((w, c) for (_, w), c in power.items()), error)
 
 
 def quantum_pieri(m: int, u: Permutation) -> QClass:
@@ -80,23 +88,24 @@ def verify_seidel(n: int) -> VerifyReport:
 
 
 def verify_pieri(n: int, engine_check: bool = True) -> VerifyReport:
-    """Closed-form Pieri for every hook size and u.
+    """Closed-form Pieri for every u and hook size, from one divisor-power chain per u.
 
     With ``engine_check`` each closed form is compared against the full
     engine product; without it only the formula's divisibility and
     invariants are exercised (full products dominate the runtime).
     """
     report = VerifyReport("pieri", n)
-    for m in range(1, n):
-        hook = weyl.hook(n, m)
-        for u in weyl.all_permutations(n):
+    for u in weyl.all_permutations(n):
+        powers = qhring.divisor_powers(weyl.u_up(u, n - u[-1]), qhring._divisor_moves)
+        for m, power in enumerate(powers, start=1):
             try:
-                closed = quantum_pieri(m, u)
+                closed = conjugate_power(m, u, power.items(), PieriFormulaError)
             except PieriFormulaError as err:
                 report.record(False, (m, u, err))
                 continue
-            ok = not engine_check or closed == qhring.quantum_product(hook, u)
+            ok = not engine_check or closed == qhring.quantum_product(weyl.hook(n, m), u)
             report.record(ok, None if ok else (m, u, closed))
+    report.counterexamples.sort(key=itemgetter(0))  # stable: m, then u
     return report
 
 

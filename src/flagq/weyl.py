@@ -130,17 +130,13 @@ def u_up(u: Permutation, k: int) -> Permutation:
 def lambda_cumulative(u: Permutation, k: int) -> DegreeVector:
     """Sum of lambda_of(u_up(u, j)) over 0 <= j < k.
 
-    u_up(u, j) puts n where u has ((n-1-j) mod n) + 1, so entry i counts the
-    j < k for which that value sits at a position <= i.
+    u_up(u, j) puts n where u has the value x exactly when j = n - x mod n,
+    which holds for (k + x - 1) // n of the j < k; entry i sums that count
+    over the values u(1), ..., u(i).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    n = len(u)
-    at = inverse(u)
-    hits = [0] * n
-    for j in range(k):
-        hits[at[(n - 1 - j) % n] - 1] += 1
-    return tuple(accumulate(hits[:-1]))
+    return tuple(accumulate((k + x - 1) // len(u) for x in u[:-1]))
 
 
 # --- Bruhat order and Grassmannian-type permutations -----------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from flagq import ktheory, qhring, rootsys, seidel, weyl
+from flagq import ktheory, polynomials, qhring, rootsys, seidel, weyl
 
 
 def test_seidel_apply_examples():
@@ -76,16 +76,114 @@ def test_verify_pieri_compares_with_engine(monkeypatch):
     # a closed form that drops its one term at (m, u) = (1, id) must come
     # back as that case's counterexample when the engine check is on
     n = 3
-    closed_form = seidel.quantum_pieri
+    closed_form = seidel.conjugate_power
 
-    def planted(m, u):
-        return {} if (m, u) == (1, weyl.identity(n)) else closed_form(m, u)
+    def planted(m, u, terms, error):
+        return {} if (m, u) == (1, weyl.identity(n)) else closed_form(m, u, terms, error)
 
-    monkeypatch.setattr(seidel, "quantum_pieri", planted)
+    monkeypatch.setattr(seidel, "conjugate_power", planted)
     r = seidel.verify_pieri(n)
     assert r.counterexamples == [(1, weyl.identity(n), {})]
     assert (r.total, r.passed) == (12, 11)
     assert seidel.verify_pieri(n, engine_check=False).ok
+
+
+def test_verify_pieri_formula_error_fails_one_record(monkeypatch):
+    # the sweep runs one divisor-power chain per u: a PieriFormulaError at
+    # (2, u) fails that record alone, the other hook sizes of u still pass,
+    # and counterexamples come out in (m, u) order although u runs outermost
+    n = 4
+    perms = weyl.all_permutations(n)
+    raise_at, drop_at = (2, perms[3]), (1, perms[10])
+    closed_form = seidel.conjugate_power
+
+    def planted(m, u, terms, error):
+        if (m, u) == raise_at:
+            raise error("planted")
+        return {} if (m, u) == drop_at else closed_form(m, u, terms, error)
+
+    monkeypatch.setattr(seidel, "conjugate_power", planted)
+    r = seidel.verify_pieri(n)
+    assert (r.total, r.passed) == (72, 70)
+    assert [c[:2] for c in r.counterexamples] == [drop_at, raise_at]
+    assert r.counterexamples[0][2] == {}
+    err = r.counterexamples[1][2]
+    assert isinstance(err, seidel.PieriFormulaError) and str(err) == "planted"
+    r = seidel.verify_pieri(n, engine_check=False)
+    assert (r.total, r.passed) == (72, 71)
+    assert [c[:2] for c in r.counterexamples] == [raise_at]
+
+
+def reference_conjugate(m, u, moves, error):
+    """Seidel conjugation term by term: seidel_power on each term of the
+    divisor power, the prefactor q_1^{-1} ... q_{n-1}^{1-n}, then
+    polynomials.accumulate to collect terms."""
+    n = len(u)
+    k = n - u[-1]
+    base = weyl.lambda_cumulative(u, k)
+    prefactor = tuple(-i for i in range(1, n))
+    terms = []
+    for (_, w), c in qhring.divisor_power(m, weyl.u_up(u, k), moves).items():
+        shift, w_up = seidel.seidel_power(w, n - k)
+        q = tuple(a + b + p for a, b, p in zip(shift, base, prefactor))
+        if min(q, default=0) < 0:
+            raise error(f"negative exponent {q} at term {w} for m={m}, u={u}")
+        terms.append(((q, w_up), c))
+    out = {}
+    polynomials.accumulate(out, terms)
+    return out
+
+
+def conjugation_outcome(conjugate, m, u, moves):
+    try:
+        return conjugate(m, u, moves, seidel.PieriFormulaError)
+    except seidel.PieriFormulaError as err:
+        return str(err)
+
+
+MOVES = [qhring._divisor_moves, qhring._k_divisor_moves]
+
+
+@pytest.mark.parametrize("moves", MOVES, ids=["H", "K"])
+@pytest.mark.parametrize("n", range(2, 6))
+def test_conjugation_matches_seidel_power_reference(n, moves):
+    for m in range(1, n):
+        for u in weyl.all_permutations(n):
+            assert conjugation_outcome(seidel.seidel_conjugate, m, u, moves) == (
+                conjugation_outcome(reference_conjugate, m, u, moves)
+            ), (m, u)
+
+
+def test_conjugation_matches_seidel_power_reference_sampled_n6():
+    rng = random.Random(6)
+    perms = weyl.all_permutations(6)
+    for _ in range(300):
+        m, u = rng.randrange(1, 6), rng.choice(perms)
+        for moves in MOVES:
+            assert conjugation_outcome(seidel.seidel_conjugate, m, u, moves) == (
+                conjugation_outcome(reference_conjugate, m, u, moves)
+            ), (m, u)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_conjugation_degree_identity(n):
+    # T^{n-k} times q_1^{-1} ... q_{n-1}^{1-n} sends sigma^w to the class of
+    # w with values x -> x - k mod n, in degree q_i = -#{j <= i : w(j) <= k};
+    # conjugate_power adds lambda(u, k) for a u with u(n) = n - k
+    for k in range(n):
+        u = weyl.u_up(weyl.identity(n), n - k)
+        base = weyl.lambda_cumulative(u, k)
+        for w in weyl.all_permutations(n):
+            shift, w_up = seidel.seidel_power(w, n - k)
+            low = tuple(sum(x <= k for x in w[:i]) for i in range(1, n))
+            assert tuple(a - i for i, a in enumerate(shift, start=1)) == tuple(-c for c in low)
+            assert w_up == tuple((x - k - 1) % n + 1 for x in w)
+            q = tuple(b - c for b, c in zip(base, low))
+            try:
+                got = seidel.conjugate_power(1, u, [(w, 7)], seidel.PieriFormulaError)
+            except seidel.PieriFormulaError:
+                got = None
+            assert got == (None if min(q) < 0 else {(q, w_up): 7}), (k, w)
 
 
 def test_pieri_fl5_golden():

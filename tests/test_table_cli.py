@@ -323,6 +323,16 @@ def test_cache_dir_that_is_a_file_is_usage_error(tmp_path, capsys, below):
     assert cache.read_text() == ""
 
 
+def test_cache_table_that_is_a_directory_is_usage_error(tmp_path, capsys):
+    # an unreadable table file is bad input, not an engine fault
+    (tmp_path / "table_n3.txt").mkdir()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["product", "--n", "3", "--u", "213", "--v", "132", "--cache-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("flagq: cache table: ") and "Traceback" not in err
+
+
 def test_cli_engine_fault_is_internal_error(monkeypatch, capsys):
     def broken(u, v):
         raise RuntimeError("injected fault")
