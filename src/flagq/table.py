@@ -9,8 +9,12 @@ n = 10 on) and lambda as a comma-separated coefficient list; records sorted
 by (u, v, lambda, w) so identical tables are byte-identical.  The one line
 starting with '#' is the header, whose ``records=N`` lets ``load`` reject a
 truncated file; ``load`` skips any other '#' line, so files that older
-versions wrote with metadata lines still load.  ``save`` writes a temporary
-file in the same directory and renames it over the target.
+versions wrote with metadata lines still load.  ``load`` parses and checks
+each distinct permutation and degree string once, where it first appears,
+and rejects a record (with its line number) whose permutations do not have
+n entries or whose degree is not n - 1 nonnegative integers.  ``save``
+renders each distinct permutation and degree once, writes a temporary file
+in the same directory and renames it over the target.
 """
 from __future__ import annotations
 
@@ -23,6 +27,18 @@ from .qhring import QClass, get_engine
 from .weyl import Permutation
 
 FORMAT_VERSION = 1
+
+
+class _Once(dict):
+    """A dict that computes the value of each missing key once, as ``make(key)``."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 @dataclass
@@ -41,17 +57,18 @@ class StructureTable:
         """Write the table atomically: a temporary file, then ``os.replace``."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
+        name = _Once(lambda u: weyl.perm_to_string(u, ","))
         records = set()
         for (u, v), cls in self.entries.items():
-            us, vs = weyl.perm_to_string(u, ","), weyl.perm_to_string(v, ",")
+            us, vs = name[u], name[v]
             for (lam, w), c in cls.items():
-                records.add((us, vs, lam, weyl.perm_to_string(w, ","), int(c)))
+                records.add((us, vs, lam, name[w], int(c)))
         lines = [
             f"# flagq-table version={FORMAT_VERSION} n={self.n} records={len(records)}"
         ]
+        degree = _Once(lambda lam: ",".join(str(a) for a in lam))
         for us, vs, lam, ws, c in sorted(records):
-            lam_s = ",".join(str(a) for a in lam)
-            lines.append(f"{self.n} {us} {vs} {ws} {lam_s} {c}")
+            lines.append(f"{self.n} {us} {vs} {ws} {degree[lam]} {c}")
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             tmp.write_text("\n".join(lines) + "\n")
@@ -63,6 +80,23 @@ class StructureTable:
     def load(cls, path: str | Path) -> "StructureTable":
         path = Path(path)
         table, expected, count = None, None, 0
+
+        def perm(s: str) -> Permutation:
+            u = weyl.perm_from_string(s)
+            if len(u) != table.n:
+                raise ValueError(f"{s!r} has {len(u)} entries, expected {table.n}")
+            return u
+
+        def degree(s: str) -> tuple[int, ...]:
+            lam = tuple(int(a) for a in s.split(","))
+            if len(lam) != table.n - 1 or min(lam) < 0:
+                raise ValueError(
+                    f"degree {s!r} is not {table.n - 1} nonnegative integers"
+                )
+            return lam
+
+        # each distinct token is parsed and checked once, where it first appears
+        perms, degrees = _Once(perm), _Once(degree)
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
             line = line.strip()
             if not line:
@@ -72,6 +106,8 @@ class StructureTable:
                     parts = dict(
                         p.split("=", 1) for p in line.split() if "=" in p
                     )
+                    if "n" not in parts:
+                        raise ValueError(f"{path}:{lineno}: missing n= in table header")
                     table = cls(n=int(parts["n"]))
                     expected = parts.get("records")
                 continue
@@ -81,10 +117,8 @@ class StructureTable:
                 ns, us, vs, ws, lam_s, cs = line.split()
                 if int(ns) != table.n:
                     raise ValueError("rank mismatch")
-                u = weyl.perm_from_string(us)
-                v = weyl.perm_from_string(vs)
-                w = weyl.perm_from_string(ws)
-                lam = tuple(int(a) for a in lam_s.split(","))
+                u, v, w = perms[us], perms[vs], perms[ws]
+                lam = degrees[lam_s]
                 c = int(cs)
             except ValueError as e:
                 raise ValueError(f"{path}:{lineno}: bad record ({e})") from e

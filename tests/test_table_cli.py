@@ -62,6 +62,36 @@ def test_table_rejects_corruption(tmp_path):
     assert "bad.txt:2" in str(err.value)
 
 
+
+def test_table_reports_bad_string_where_it_first_appears(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# flagq-table version=1 n=3 records=4\n3 123 123 123 0,0 1\n"
+                    "3 123 213 213 0,0 1\n3 123 231 2x3 0,0 1\n3 123 312 2x3 0,0 1\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:4: bad record"):
+        table.StructureTable.load(path)
+
+
+def test_table_load_parses_each_distinct_permutation_once(tmp_path, monkeypatch):
+    path = tmp_path / "t4.txt"
+    built = table.build_table(4)
+    built.save(path)
+    calls = []
+    parse = weyl.perm_from_string
+
+    def counted(s):
+        calls.append(s)
+        return parse(s)
+
+    monkeypatch.setattr(weyl, "perm_from_string", counted)
+    assert table.StructureTable.load(path).entries == built.entries
+    assert len(calls) <= 24
+
+
+def test_table_n5_resave_is_byte_identical(tmp_path):
+    table.build_table(5).save(tmp_path / "a.txt")
+    table.StructureTable.load(tmp_path / "a.txt").save(tmp_path / "b.txt")
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
 def test_table_header_counts_records(tmp_path):
     t = table.build_table(3)
     path = tmp_path / "t3.txt"
@@ -194,6 +224,33 @@ def test_cli_truncated_cache_table_is_usage_error(tmp_path, capsys):
     assert err.startswith("flagq: cache table: ") and "records=" in err
     assert "Traceback" not in err
 
+
+
+@pytest.mark.parametrize(
+    "header, record, message",
+    [
+        ("# flagq-table version=1 records=1", "4 2134 1234 2134 0,0,0 1", "missing n="),
+        # a permutation, or a degree, of the wrong rank would be served as is
+        ("# flagq-table version=1 n=4 records=1", "4 2134 1234 213 0,0,0 1", "bad record"),
+        ("# flagq-table version=1 n=4 records=1", "4 2134 1234 2134 0,0 1", "bad record"),
+        ("# flagq-table version=1 n=4 records=1", "4 2134 1234 2134 0,-1,0 1", "bad record"),
+    ],
+    ids=["no-n", "perm-rank", "degree-length", "degree-sign"],
+)
+def test_malformed_cache_table_is_usage_error(tmp_path, capsys, header, record, message):
+    path = tmp_path / "table_n4.txt"
+    path.write_text(f"{header}\n{record}\n")
+    with pytest.raises(ValueError, match=message) as err:
+        table.StructureTable.load(path)
+    assert "table_n4.txt:" in str(err.value)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["product", "--n", "4", "--u", "2134", "--v", "1234",
+                  "--cache-dir", str(tmp_path), "--format", "json"])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("flagq: cache table: ") and message in err
+    assert "Traceback" not in err
 
 def test_cli_qk_projection_text():
     r = run_cli(
