@@ -132,20 +132,14 @@ def emit(payload: dict, text, fmt: str) -> None:
 # --- argument handling -----------------------------------------------------
 
 def parse_perm(args, n: int, flag: str):
-    one_line = getattr(args, flag.replace("-", "_"), None)
-    word = getattr(args, f"{flag}_word".replace("-", "_"), None)
-    if one_line is not None and word is not None:
-        raise UsageError(f"--{flag} and --{flag}-word are mutually exclusive")
+    """The permutation given by --flag or --flag-word (argparse requires one)."""
+    one_line = getattr(args, flag)
     if one_line is not None:
-        u = user_input(f"--{flag}", lambda: weyl.perm_from_string(one_line))
-        if len(u) != n:
-            raise UsageError(f"--{flag} has {len(u)} entries, expected {n}")
-        return u
-    if word is not None:
-        return user_input(
-            f"--{flag}-word", lambda: weyl.from_word(weyl.word_from_string(word), n)
-        )
-    raise UsageError(f"one of --{flag} or --{flag}-word is required")
+        return user_input(f"--{flag}", lambda: weyl.perm_from_string(one_line, n))
+    word = getattr(args, f"{flag}_word")
+    return user_input(
+        f"--{flag}-word", lambda: weyl.from_word(weyl.word_from_string(word), n)
+    )
 
 
 def user_input(what: str, parse):
@@ -163,8 +157,9 @@ def check_hook(args) -> None:
 
 def add_perm_args(sub, *flags):
     for flag in flags:
-        sub.add_argument(f"--{flag}")
-        sub.add_argument(f"--{flag}-word")
+        group = sub.add_mutually_exclusive_group(required=True)
+        group.add_argument(f"--{flag}")
+        group.add_argument(f"--{flag}-word")
 
 
 # --- subcommands -----------------------------------------------------------
@@ -178,6 +173,8 @@ def cmd_product(args) -> int:
         path = table.table_path(args.cache_dir, n)
         if path.exists():
             cached = user_input("cache table", lambda: table.StructureTable.load(path))
+            if cached.n != n:
+                raise UsageError(f"cache table: {path} holds an n = {cached.n} table")
             cls = cached.get(u, v)
     if cls is None:
         cls = qhring.quantum_product(u, v)
@@ -197,10 +194,7 @@ def cmd_qk_conjecture(args) -> int:
     check_hook(args)
     u = parse_perm(args, n, "u")
     if args.project is not None:
-        dp = user_input(
-            "--project",
-            lambda: sorted(int(p) for p in args.project.replace(",", " ").split()),
-        )
+        dp = user_input("--project", lambda: sorted(weyl.word_from_string(args.project)))
         missing = [i for i in range(1, n) if i not in dp]
         if len(missing) != 1 or len(dp) != n - 2:
             raise UsageError(f"--project must list every index 1..{n - 1} but one")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .weyl import DegreeVector
+from .weyl import DegreeVector, word_from_string
 
 Root = tuple[int, int]
 
@@ -82,11 +82,8 @@ def q_monomial_string(lam: DegreeVector) -> str:
 
 
 def degree_from_string(s: str, n: int) -> DegreeVector:
-    """Parse a comma-separated coefficient list ("1,1,0")."""
-    s = s.strip()
-    if not s:
-        return zero_degree(n)
-    vals = tuple(int(p) for p in s.replace(",", " ").split())
+    """Parse a comma-separated coefficient list ("1,1,0"); empty means degree 0."""
+    vals = word_from_string(s) or zero_degree(n)
     if len(vals) != n - 1:
         raise ValueError(f"degree vector needs {n - 1} entries, got {len(vals)}")
     return vals

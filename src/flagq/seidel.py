@@ -19,8 +19,8 @@ from .weyl import DegreeVector, Permutation
 
 
 def seidel_apply(u: Permutation) -> tuple[DegreeVector, Permutation]:
-    """T(sigma^u) = q_{lambda(u)} sigma^{s_1...s_{n-1} u}."""
-    return weyl.lambda_of(u), weyl.u_up(u, 1)
+    """T(sigma^u) = q_{lambda(u)} sigma^{s_1...s_{n-1} u}, the power k = 1."""
+    return seidel_power(u, 1)
 
 
 def seidel_power(u: Permutation, k: int) -> tuple[DegreeVector, Permutation]:
@@ -113,27 +113,16 @@ def verify_support(n: int) -> VerifyReport:
     """q-support of hook products: interval coroots ending at n-1, only for u(n) != n."""
     report = VerifyReport("support", n)
     zero = rootsys.zero_degree(n)
+    # alpha_k^vee + ... + alpha_{n-1}^vee, the degrees lambda(u) of the Seidel operator
+    intervals = {rootsys.coroot((k, n), n) for k in range(1, n)}
     for m in range(1, n):
         hook = weyl.hook(n, m)
         for u in weyl.all_permutations(n):
-            prod = qhring.quantum_product(hook, u)
-            bad = []
-            for (lam, w) in prod:
-                if lam == zero:
-                    continue
-                if u[-1] == n:
-                    bad.append((lam, w, "quantum term with u(n)=n"))
-                    continue
-                # lambda must be alpha_k^vee + ... + alpha_{n-1}^vee
-                ones = [i for i, a in enumerate(lam, start=1) if a == 1]
-                interval = (
-                    set(lam) <= {0, 1}
-                    and ones
-                    and ones[-1] == n - 1
-                    and ones == list(range(ones[0], n))
-                )
-                if not interval:
-                    bad.append((lam, w, "non-interval degree"))
+            bad = [
+                (lam, w, "quantum term with u(n)=n" if u[-1] == n else "non-interval degree")
+                for lam, w in qhring.quantum_product(hook, u)
+                if lam != zero and (u[-1] == n or lam not in intervals)
+            ]
             report.record(not bad, (m, u, bad) if bad else None)
     return report
 
@@ -141,23 +130,22 @@ def verify_support(n: int) -> VerifyReport:
 def explore_classical_equality(n: int, i: int, j: int) -> list[dict]:
     """For every u, does sigma^{s_i...s_j} * sigma^u equal the cup product?
 
-    Records descriptive data per permutation; draws no conclusion about a
+    The cup product is the q = 0 part of the quantum product, so they are
+    equal iff the quantum product has no term with q != 0.  Records
+    descriptive data per permutation; draws no conclusion about a
     characterization.
     """
     if not 1 <= i <= j <= n - 1:
         raise ValueError("need 1 <= i <= j <= n-1")
     left = weyl.from_word(range(i, j + 1), n)
-    rows = []
-    for u in weyl.all_permutations(n):
-        quantum = qhring.quantum_product(left, u)
-        classical = qhring.classical_product(left, u)
-        rows.append(
-            {
-                "one_line": weyl.perm_to_string(u),
-                "word": weyl.word_to_string(weyl.canonical_word(u)),
-                "descents": list(weyl.descent_set(u)),
-                "u_n": u[-1],
-                "equal": quantum == classical,
-            }
-        )
-    return rows
+    zero = rootsys.zero_degree(n)
+    return [
+        {
+            "one_line": weyl.perm_to_string(u),
+            "word": weyl.word_to_string(weyl.canonical_word(u)),
+            "descents": list(weyl.descent_set(u)),
+            "u_n": u[-1],
+            "equal": all(lam == zero for lam, _ in qhring.quantum_product(left, u)),
+        }
+        for u in weyl.all_permutations(n)
+    ]

@@ -11,10 +11,11 @@ starting with '#' is the header, whose ``records=N`` lets ``load`` reject a
 truncated file; ``load`` skips any other '#' line, so files that older
 versions wrote with metadata lines still load.  ``load`` parses and checks
 each distinct permutation and degree string once, where it first appears,
-and rejects a record (with its line number) whose permutations do not have
-n entries or whose degree is not n - 1 nonnegative integers.  ``save``
-renders each distinct permutation and degree once, writes a temporary file
-in the same directory and renames it over the target.
+and rejects, with its line number, a header without an integer ``n=`` and a
+record whose permutations do not have n entries or whose degree is not
+n - 1 nonnegative integers.  ``save`` renders each distinct permutation and
+degree once, writes a temporary file in the same directory and renames it
+over the target.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import weyl
+from . import rootsys, weyl
 from .qhring import QClass, get_engine
 from .weyl import Permutation
 
@@ -81,39 +82,29 @@ class StructureTable:
         path = Path(path)
         table, expected, count = None, None, 0
 
-        def perm(s: str) -> Permutation:
-            u = weyl.perm_from_string(s)
-            if len(u) != table.n:
-                raise ValueError(f"{s!r} has {len(u)} entries, expected {table.n}")
-            return u
-
         def degree(s: str) -> tuple[int, ...]:
-            lam = tuple(int(a) for a in s.split(","))
-            if len(lam) != table.n - 1 or min(lam) < 0:
-                raise ValueError(
-                    f"degree {s!r} is not {table.n - 1} nonnegative integers"
-                )
+            lam = rootsys.degree_from_string(s, table.n)
+            if min(lam) < 0:
+                raise ValueError(f"degree {s!r} has a negative entry")
             return lam
 
         # each distinct token is parsed and checked once, where it first appears
-        perms, degrees = _Once(perm), _Once(degree)
+        perms = _Once(lambda s: weyl.perm_from_string(s, table.n))
+        degrees = _Once(degree)
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
             line = line.strip()
-            if not line:
+            header = line.startswith("#")
+            if not line or (header and (table is not None or "flagq-table" not in line)):
                 continue
-            if line.startswith("#"):
-                if table is None and "flagq-table" in line:
-                    parts = dict(
-                        p.split("=", 1) for p in line.split() if "=" in p
-                    )
-                    if "n" not in parts:
-                        raise ValueError(f"{path}:{lineno}: missing n= in table header")
-                    table = cls(n=int(parts["n"]))
-                    expected = parts.get("records")
-                continue
-            if table is None:
+            if table is None and not header:
                 raise ValueError(f"{path}:{lineno}: missing table header")
             try:
+                if header:
+                    parts = dict(p.split("=", 1) for p in line.split() if "=" in p)
+                    if "n" not in parts:
+                        raise ValueError("missing n=")
+                    table, expected = cls(n=int(parts["n"])), parts.get("records")
+                    continue
                 ns, us, vs, ws, lam_s, cs = line.split()
                 if int(ns) != table.n:
                     raise ValueError("rank mismatch")
@@ -121,7 +112,8 @@ class StructureTable:
                 lam = degrees[lam_s]
                 c = int(cs)
             except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: bad record ({e})") from e
+                what = "table header" if header else "record"
+                raise ValueError(f"{path}:{lineno}: bad {what} ({e})") from e
             table.entries.setdefault((u, v), {})[(lam, w)] = c
             count += 1
         if table is None:

@@ -94,7 +94,8 @@ def descent_set(u: Permutation) -> tuple[int, ...]:
 # Seidel degree lambda(u) is alpha^vee_p + ... + alpha^vee_{n-1} with
 # p = u^{-1}(n): T raises degree by n-1, and l(u^1) - l(u) = 2p - n - 1 since
 # only the pairs containing the value n change, so an interval ending at n-1
-# must start at p.  It is zero exactly when p = n.
+# must start at p.  It is zero exactly when p = n; lambda_cumulative(u, 1)
+# gives it.
 
 def canonical_factorization(u: Permutation) -> tuple[int, ...]:
     """The exponent sequence (j_1, ..., j_{n-1}) of the canonical factorization."""
@@ -110,15 +111,6 @@ def canonical_word(u: Permutation) -> tuple[int, ...]:
     return tuple(word)
 
 
-def lambda_of(u: Permutation) -> DegreeVector:
-    """The curve degree picked up by the Seidel operator on the class of u.
-
-    The 0/1 interval vector supported on [u^{-1}(n), n-1]; zero iff u(n) = n.
-    """
-    p = u.index(len(u)) + 1
-    return tuple(1 if i >= p else 0 for i in range(1, len(u)))
-
-
 def u_up(u: Permutation, k: int) -> Permutation:
     """(s_1 s_2 ... s_{n-1})^k u; periodic in k with period n."""
     if k < 0:
@@ -128,7 +120,7 @@ def u_up(u: Permutation, k: int) -> Permutation:
 
 
 def lambda_cumulative(u: Permutation, k: int) -> DegreeVector:
-    """Sum of lambda_of(u_up(u, j)) over 0 <= j < k.
+    """Sum of the Seidel degrees lambda(u_up(u, j)) over 0 <= j < k.
 
     u_up(u, j) puts n where u has the value x exactly when j = n - x mod n,
     which holds for (k + x - 1) // n of the j < k; entry i sums that count
@@ -176,22 +168,19 @@ def perm_to_string(u: Permutation, sep: str = " ") -> str:
     return ("" if len(u) <= 9 else sep).join(str(x) for x in u)
 
 
-def perm_from_string(s: str) -> Permutation:
+def perm_from_string(s: str, n: int) -> Permutation:
+    """Read a permutation of S_n in either form that perm_to_string writes."""
     s = s.strip()
-    if "," in s or " " in s:
-        parts = s.replace(",", " ").split()
-        u = tuple(int(p) for p in parts)
-    else:
-        u = tuple(int(ch) for ch in s)
+    u = word_from_string(s) if "," in s or " " in s else tuple(map(int, s))
     if not is_permutation(u):
         raise ValueError(f"{s!r} is not a permutation in one-line form")
+    if len(u) != n:
+        raise ValueError(f"{s!r} has {len(u)} entries, expected {n}")
     return u
 
 
 def word_from_string(s: str) -> tuple[int, ...]:
-    s = s.strip()
-    if not s:
-        return ()
+    """A comma- or space-separated list of integers ("2,3,4")."""
     return tuple(int(p) for p in s.replace(",", " ").split())
 
 

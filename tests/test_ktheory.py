@@ -143,3 +143,22 @@ def test_pi_star_is_multiplicative_on_chain():
     lhs = ktheory.pi_star(dp, prod)
     # both factors project to themselves; multiply then project must agree
     assert sum(lhs.values()) == sum(prod.values())
+
+
+def test_k_verify_counterexamples_in_m_then_v_order(monkeypatch):
+    # one divisor-power chain per v runs m innermost; a wrong cup product at
+    # (3, v1) and at (1, v2) with v1 before v2 still comes out in (m, v) order
+    n = 4
+    perms = weyl.all_permutations(n)
+    early, late = (3, perms[2]), (1, perms[20])
+    product = qhring.classical_product
+
+    def planted(hook, v):
+        wrong = (weyl.length(hook), v) in (early, late)
+        return {} if wrong else product(hook, v)
+
+    monkeypatch.setattr(qhring, "classical_product", planted)
+    r = ktheory.k_verify(n)
+    assert r.total - r.passed == 2
+    assert [c[:2] for c in r.counterexamples] == [late, early]
+    assert r.counterexamples[0][2] == [(None, "lowest layer != cup product")]

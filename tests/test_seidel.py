@@ -275,3 +275,44 @@ def test_explore_identity_always_equal():
     assert len(rows) == 24
     byline = {r["one_line"]: r for r in rows}
     assert byline["1234"]["equal"] is True
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_explore_equal_is_quantum_product_equals_cup_product(n):
+    # explore reads equality off the quantum product alone (no q-term); the
+    # two engines must agree with that for every (i, j) and u
+    perms = weyl.all_permutations(n)
+    for i in range(1, n):
+        for j in range(i, n):
+            left = weyl.from_word(range(i, j + 1), n)
+            rows = seidel.explore_classical_equality(n, i, j)
+            assert [r["one_line"] for r in rows] == [weyl.perm_to_string(u) for u in perms]
+            for u, r in zip(perms, rows):
+                expected = qhring.quantum_product(left, u) == qhring.classical_product(left, u)
+                assert r["equal"] is expected, (i, j, u)
+
+
+def test_verify_support_flags_planted_terms(monkeypatch):
+    # a non-interval degree where u(n) != n, and any q-term where u(n) = n,
+    # each fail their record with the reason the sweep names
+    n = 4
+    product = qhring.quantum_product
+    non_interval_at = (2, (2, 1, 4, 3))
+    q_term_at = (1, (2, 1, 3, 4))
+
+    def planted(hook, u):
+        out = dict(product(hook, u))
+        m = weyl.length(hook)
+        if (m, u) == non_interval_at:
+            out[((1, 0, 1), u)] = 1
+        if (m, u) == q_term_at:
+            out[((0, 0, 1), u)] = 1
+        return out
+
+    monkeypatch.setattr(qhring, "quantum_product", planted)
+    r = seidel.verify_support(n)
+    assert (r.total, r.passed) == (72, 70)
+    assert r.counterexamples == [
+        (*q_term_at, [((0, 0, 1), q_term_at[1], "quantum term with u(n)=n")]),
+        (*non_interval_at, [((1, 0, 1), non_interval_at[1], "non-interval degree")]),
+    ]

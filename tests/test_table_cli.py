@@ -78,9 +78,9 @@ def test_table_load_parses_each_distinct_permutation_once(tmp_path, monkeypatch)
     calls = []
     parse = weyl.perm_from_string
 
-    def counted(s):
+    def counted(s, n):
         calls.append(s)
-        return parse(s)
+        return parse(s, n)
 
     monkeypatch.setattr(weyl, "perm_from_string", counted)
     assert table.StructureTable.load(path).entries == built.entries
@@ -252,6 +252,59 @@ def test_malformed_cache_table_is_usage_error(tmp_path, capsys, header, record, 
     assert err.startswith("flagq: cache table: ") and message in err
     assert "Traceback" not in err
 
+def test_cache_table_header_with_bad_n_names_file_and_line(tmp_path, capsys):
+    path = tmp_path / "table_n4.txt"
+    path.write_text("# flagq-table version=1 n=x records=1\n4 2134 1234 2134 0,0,0 1\n")
+    with pytest.raises(ValueError, match=r"table_n4\.txt:1: bad table header"):
+        table.StructureTable.load(path)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["product", "--n", "4", "--u", "2134", "--v", "1234",
+                  "--cache-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("flagq: cache table: ") and "table_n4.txt:1: " in err
+    assert "Traceback" not in err
+
+
+def test_cache_table_of_another_rank_is_usage_error(tmp_path, capsys):
+    # an n = 3 table saved under the n = 4 name is reported, not bypassed
+    assert cli.main(["table", "--n", "3", "--cache-dir", str(tmp_path)]) == 0
+    (tmp_path / "table_n3.txt").rename(tmp_path / "table_n4.txt")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["product", "--n", "4", "--u", "2134", "--v", "1234",
+                  "--cache-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("flagq: cache table: ") and err.endswith("holds an n = 3 table\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["product", "--n", "3", "--u", "213", "--u-word", "1", "--v", "132"],
+         "argument --u-word: not allowed with argument --u"),
+        (["product", "--n", "3", "--v", "132"],
+         "one of the arguments --u --u-word is required"),
+        (["reduce", "--n", "3", "--u", "213", "--v", "213", "--lambda", "0,0"],
+         "one of the arguments --w --w-word is required"),
+        (["product", "--n", "4", "--u", "213", "--v", "1234"],
+         "flagq: --u: '213' has 3 entries, expected 4"),
+        (["k-product", "--n", "3", "--hook", "1", "--v", "1 2 3 4"],
+         "flagq: --v: '1 2 3 4' has 4 entries, expected 3"),
+    ],
+    ids=["both", "neither", "neither-w", "rank", "rank-separated"],
+)
+def test_permutation_flags_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and "Traceback" not in err
+
+
 def test_cli_qk_projection_text():
     r = run_cli(
         [
@@ -295,7 +348,7 @@ def test_cli_n10_output():
     assert r.returncode == 0, r.stderr
     (term,) = json.loads(r.stdout)["terms"]
     assert term["w"] == "2 1 3 4 5 6 7 8 10 9"
-    assert weyl.perm_from_string(term["w"]) == weyl.from_word([9, 1], 10)
+    assert weyl.perm_from_string(term["w"], 10) == weyl.from_word([9, 1], 10)
     r = run_cli(
         ["reduce", "--n", "10", "--u-word", "9", "--v-word", "1", "--w-word", "9,1",
          "--lambda", ",".join("0" * 9), "--format", "json"]

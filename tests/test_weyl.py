@@ -69,15 +69,15 @@ def test_canonical_factorization_bounds():
 
 
 def test_lambda_of_examples():
-    # zero branch exactly when u fixes n
+    # the Seidel degree lambda(u) = lambda(u, 1): zero exactly when u fixes n
     for u in weyl.all_permutations(4):
         if u[-1] == 4:
-            assert weyl.lambda_of(u) == (0, 0, 0)
+            assert weyl.lambda_cumulative(u, 1) == (0, 0, 0)
         else:
-            lam = weyl.lambda_of(u)
+            lam = weyl.lambda_cumulative(u, 1)
             ones = [i for i, a in enumerate(lam, start=1) if a]
             assert ones and ones[-1] == 3 and ones == list(range(ones[0], 4))
-    assert weyl.lambda_of((4, 3, 5, 1, 2)) == (0, 0, 1, 1)
+    assert weyl.lambda_cumulative((4, 3, 5, 1, 2), 1) == (0, 0, 1, 1)
 
 
 def test_u_up_and_cumulative():
@@ -89,7 +89,7 @@ def test_u_up_and_cumulative():
     total = [0, 0, 0, 0]
     r = u
     for _ in range(3):
-        total = [a + b for a, b in zip(total, weyl.lambda_of(r))]
+        total = [a + b for a, b in zip(total, weyl.lambda_cumulative(r, 1))]
         r = weyl.u_up(r, 1)
     assert weyl.lambda_cumulative(u, 3) == tuple(total)
 
@@ -130,10 +130,15 @@ def test_grassmannian_type_and_partitions():
 
 
 def test_serialization_round_trip():
-    assert weyl.perm_from_string("43512") == (4, 3, 5, 1, 2)
-    assert weyl.perm_from_string("4 3 5 1 2") == (4, 3, 5, 1, 2)
+    assert weyl.perm_from_string("43512", 5) == (4, 3, 5, 1, 2)
+    assert weyl.perm_from_string("4 3 5 1 2", 5) == (4, 3, 5, 1, 2)
+    assert weyl.perm_from_string("4,3,5,1,2", 5) == (4, 3, 5, 1, 2)
     assert weyl.perm_to_string((4, 3, 5, 1, 2)) == "43512"
     assert weyl.word_from_string("2,3,4") == (2, 3, 4)
     assert weyl.word_to_string((2, 3, 4)) == "2,3,4"
+    assert weyl.word_from_string(" 2 3,4 ") == (2, 3, 4)
+    assert weyl.word_from_string("") == ()
     with pytest.raises(ValueError):
-        weyl.perm_from_string("4412")
+        weyl.perm_from_string("4412", 4)
+    with pytest.raises(ValueError, match="'123' has 3 entries, expected 4"):
+        weyl.perm_from_string("123", 4)
