@@ -97,7 +97,7 @@ def k_verify(n: int) -> VerifyReport:
 
     Per product: alternating signs, Bruhat support, and agreement of the
     lowest-length layer with the cohomology cup product.  The hook products
-    of each v come from one divisor-power chain, as in ``verify_pieri``.
+    of each v come from one divisor-power chain (``qhring.divisor_powers``).
     """
     report = VerifyReport("ktheory", n)
     zero = rootsys.zero_degree(n)

@@ -1,7 +1,8 @@
 """The QH*(Fl_n) engine.
 
 Elements are sparse maps (degree vector, permutation) -> integer
-coefficient.  Every rule is read off the quantum Bruhat graph (_edge): the
+coefficient.  Every rule is read off the quantum Bruhat graph, whose edges
+at a position r come from one scan per side (_left_edges, _right_edges): the
 quantum Monk operators X_r of Fomin, Gelfand and Postnikov, their sums
 X_1 + ... + X_i (the quantum Chevalley operators), and the divisor s_{n-1}
 in H* and in K, whose powers are the hook products.  The
@@ -45,27 +46,60 @@ def qclass(u: Permutation, lam: Optional[DegreeVector] = None) -> QClass:
 _perms: dict[Permutation, Permutation] = {}
 
 
-def _edge(w: Permutation, a: int, b: int) -> int:
-    """Which edge of the quantum Bruhat graph, if any, joins w to w t_ab (a < b).
+def _left_edges(w: Permutation, r: int, lo: int = 1) -> list[tuple[int, bool]]:
+    """The quantum Bruhat edges w -> w t_ar, lo <= a < r, as (a, quantum), a rising.
 
-    1 when l(w t_ab) = l(w) + 1, -1 when l(w t_ab) = l(w) + 1 - 2(b - a),
-    0 otherwise.  Swapping w(a) and w(b) flips the pair (a, b) itself and,
-    for each c in (a, b) with w(c) strictly between w(a) and w(b), the two
-    pairs (a, c) and (c, b); every other pair keeps its order.  So with k
-    such c the length moves by 1 + 2k, up when w(a) < w(b) and down
-    otherwise: k = 0 is a Bruhat cover, and k = b - a - 1 (every c in
-    between) is the quantum drop 2(b - a) - 1.
+    Swapping w(a) and w(b) (a < b) flips the pair (a, b) itself and, for
+    each c in (a, b) with w(c) strictly between w(a) and w(b), the two pairs
+    (a, c) and (c, b); every other pair keeps its order.  So with k such c
+    the length moves by 1 + 2k, up when w(a) < w(b) and down otherwise:
+    k = 0 is a Bruhat cover, and k = b - a - 1 (every c in between) is the
+    quantum drop 2(b - a) - 1.  One downward scan decides every (a, r): with
+    y = w(r), it keeps the greatest value passed below y and the greatest
+    passed above it.  (a, r) is a cover when below < w(a) < y, and a quantum
+    edge when w(a) > y, nothing below y was passed and w(a) exceeds every
+    value passed.
     """
-    x, y = w[a - 1], w[b - 1]
-    if x < y:
-        for c in w[a : b - 1]:
-            if x < c < y:
-                return 0
-        return 1
-    for c in w[a : b - 1]:
-        if not y < c < x:
-            return 0
-    return -1
+    y = w[r - 1]
+    below = above = 0
+    out = []
+    a = r
+    for x in reversed(w[lo - 1 : r - 1]):
+        a -= 1
+        if x < y:
+            if x > below:
+                out.append((a, False))
+                below = x
+        elif x > above:
+            if not below:
+                out.append((a, True))
+            above = x
+    out.reverse()
+    return out
+
+
+def _right_edges(w: Permutation, r: int) -> list[tuple[int, bool]]:
+    """The edges w -> w t_rb, r < b <= n, as (b, quantum), b rising.
+
+    The mirror of _left_edges: with x = w(r), one upward scan keeps the
+    least value passed above x and the least passed below it.  (r, b) is a
+    cover when x < w(b) < above, and a quantum edge when w(b) < x, nothing
+    above x was passed and w(b) is below every value passed.
+    """
+    n = len(w)
+    x = w[r - 1]
+    above = below = n + 1
+    out = []
+    for b, z in enumerate(w[r:], r + 1):
+        if z > x:
+            if z < above:
+                out.append((b, False))
+                above = z
+        elif z < below:
+            if above > n:
+                out.append((b, True))
+            below = z
+    return out
 
 
 def _move(w: Permutation, a: int, b: int) -> Permutation:
@@ -81,11 +115,11 @@ def _divisor_moves(w: Permutation) -> tuple[tuple[Permutation, int], ...]:
     """sigma^{s_{n-1}} . sigma^w in H*(Fl_n) as (permutation, coefficient) terms.
 
     Monk's rule for the divisor s_{n-1}: one term w t_{an} for each a < n
-    with w -> w t_{an} a Bruhat cover (_edge), the one-step chains of
+    with w -> w t_{an} a Bruhat cover (_left_edges), the one-step chains of
     _k_divisor_moves.
     """
     n = len(w)
-    return tuple((_move(w, a, n), 1) for a in range(1, n) if _edge(w, a, n) == 1)
+    return tuple((_move(w, a, n), 1) for a, quantum in _left_edges(w, n) if not quantum)
 
 
 @lru_cache(maxsize=None)
@@ -94,7 +128,7 @@ def _k_divisor_moves(w: Permutation) -> tuple[tuple[Permutation, int], ...]:
 
     Lenart's K-theoretic Monk formula for the divisor s_{n-1}: a signed sum
     over the chains w -> w t_{a_1 n} -> w t_{a_1 n} t_{a_2 n} -> ... with
-    a_1 < a_2 < ... < n in which every step is a Bruhat cover (_edge), a
+    a_1 < a_2 < ... < n in which every step is a Bruhat cover (_left_edges), a
     chain of p steps counting (-1)^(p-1).  A chain moves exactly the
     positions a_1, ..., a_p and n, so no two chains end in the same class.
     This is the q = 0 part of the quantum K divisor operator for k = n - 1.
@@ -104,8 +138,8 @@ def _k_divisor_moves(w: Permutation) -> tuple[tuple[Permutation, int], ...]:
     chains = [(w, 1, 1)]  # (end of a chain, least next a, sign of the next step)
     while chains:
         x, lo, sign = chains.pop()
-        for a in range(lo, n):
-            if _edge(x, a, n) == 1:
+        for a, quantum in _left_edges(x, n, lo):
+            if not quantum:
                 y = _move(x, a, n)
                 out.append((y, sign))
                 chains.append((y, a + 1, -sign))
@@ -152,19 +186,23 @@ def _monk_moves(
     Fomin-Gelfand-Postnikov.  The Chevalley moves over (a, b) with
     a < r < b occur for both divisors and cancel, which leaves +moves over
     (r, b) with b > r and -moves over (a, r) with a < r, listed here in that
-    order.  Only those moves are tested, each by the local edge rule of
-    _edge: classical when w(a) < w(b) and no c in (a, b) has w(c) between
-    them, quantum (degree gamma^vee) when w(a) > w(b) and every such c does.
+    order.  One scan per side of r finds them (_right_edges, _left_edges):
+    classical when w(a) < w(b) and no c in (a, b) has w(c) between them,
+    quantum (degree gamma^vee) when w(a) > w(b) and every such c does.
     """
     n = len(w)
-    roots = [(1, r, b) for b in range(r + 1, n + 1)] + [(-1, a, r) for a in range(1, r)]
+    zero = _zero(n)
     out = []
-    for sign, a, b in roots:
-        e = _edge(w, a, b)
-        if e == 1:
-            out.append((sign, _zero(n), _move(w, a, b)))
-        elif quantum and e == -1:
-            out.append((sign, _coroot((a, b), n), _move(w, a, b)))
+    for b, q in _right_edges(w, r):
+        if not q:
+            out.append((1, zero, _move(w, r, b)))
+        elif quantum:
+            out.append((1, _coroot((r, b), n), _move(w, r, b)))
+    for a, q in _left_edges(w, r):
+        if not q:
+            out.append((-1, zero, _move(w, a, r)))
+        elif quantum:
+            out.append((-1, _coroot((a, r), n), _move(w, a, r)))
     return tuple(out)
 
 
@@ -276,9 +314,12 @@ def _accumulate(out: dict, terms: tuple, sign: int, shift: DegreeVector, zero) -
             del out[key]
 
 
-@lru_cache(maxsize=None)
+_engines = lru_cache(maxsize=None)(RingEngine)
+
+
 def get_engine(n: int, quantum: bool = True) -> RingEngine:
-    return RingEngine(n, quantum)
+    """The one engine per (n, quantum), whatever form the call takes."""
+    return _engines(n, quantum)
 
 
 def quantum_product(u: Permutation, v: Permutation) -> QClass:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import itemgetter, sub
+from typing import Callable
 
 from . import qhring, rootsys, weyl
 from .qhring import QClass
@@ -32,36 +33,43 @@ class PieriFormulaError(RuntimeError):
     """The closed-form q-prefactor failed to divide; an implementation bug."""
 
 
-def conjugate_power(m: int, u: Permutation, terms, error: type[Exception]) -> QClass:
-    """Seidel conjugation of the terms (w, c) of [s_{n-1}]^m . [u^k], k = n - u(n).
+def seidel_conjugation(u: Permutation, error: type[Exception]) -> Callable[..., QClass]:
+    """conjugate(m, terms): Seidel conjugation of the terms (w, c) of [s_{n-1}]^m . [u^k].
 
-    T^{n-k}(sigma^w) = q_{lambda(w,n-k)} sigma^{w^{n-k}}: w^{n-k} sends each
-    value x to x - k mod n, and lambda(w,n-k)_i counts the values above k in
-    w(1..i).  So with the prefactor the term has degree
+    Here k = n - u(n); u's data (k, lambda(u,k), the value rotation) is
+    worked out once, for every m.  T^{n-k}(sigma^w) = q_{lambda(w,n-k)}
+    sigma^{w^{n-k}}: w^{n-k} sends each value x to x - k mod n, and
+    lambda(w,n-k)_i counts the values above k in w(1..i).  So with the
+    prefactor the term has degree
         q_i = lambda(u,k)_i - #{j <= i : w(j) <= k};
     no two terms collect, and a negative exponent raises ``error``.
     """
     n = len(u)
     k = n - u[-1]
     base = weyl.lambda_cumulative(u, k)
-    rotate = (0, *range(n - k + 1, n + 1), *range(1, n - k + 1))  # x -> x - k mod n
-    out: QClass = {}
-    for w, c in terms:
-        q = tuple(map(sub, base, accumulate(map(k.__ge__, w))))
-        if min(q) < 0:
-            raise error(f"negative exponent {q} at term {w} for m={m}, u={u}")
-        out[(q, tuple(rotate[x] for x in w))] = c
-    return out
+    # x -> x - k mod n
+    rotate = (0, *range(n - k + 1, n + 1), *range(1, n - k + 1)).__getitem__
+
+    def conjugate(m: int, terms) -> QClass:
+        out: QClass = {}
+        for w, c in terms:
+            q = tuple(map(sub, base, accumulate(map(k.__ge__, w))))
+            if min(q) < 0:
+                raise error(f"negative exponent {q} at term {w} for m={m}, u={u}")
+            out[(q, tuple(map(rotate, w)))] = c
+        return out
+
+    return conjugate
 
 
 def seidel_conjugate(m: int, u: Permutation, moves, error: type[Exception]) -> QClass:
     """The hook product sigma^{s_{n-m}...s_{n-1}} * sigma^u by Seidel conjugation.
 
     q_1^{-1} ... q_{n-1}^{1-n} q_{lambda(u,k)} T^{n-k}(hook_m . u^k), k = n - u(n):
-    conjugate_power of divisor_power(m, u^k, moves), in cohomology or K theory.
+    seidel_conjugation of divisor_power(m, u^k, moves), in cohomology or K theory.
     """
     power = qhring.divisor_power(m, weyl.u_up(u, len(u) - u[-1]), moves)
-    return conjugate_power(m, u, ((w, c) for (_, w), c in power.items()), error)
+    return seidel_conjugation(u, error)(m, ((w, c) for (_, w), c in power.items()))
 
 
 def quantum_pieri(m: int, u: Permutation) -> QClass:
@@ -88,24 +96,31 @@ def verify_seidel(n: int) -> VerifyReport:
 
 
 def verify_pieri(n: int, engine_check: bool = True) -> VerifyReport:
-    """Closed-form Pieri for every u and hook size, from one divisor-power chain per u.
+    """Closed-form Pieri for every u and hook size, one divisor chain per v in S_{n-1}.
 
-    With ``engine_check`` each closed form is compared against the full
-    engine product; without it only the formula's divisibility and
-    invariants are exercised (full products dominate the runtime).
+    The closed form for u reads the chain of u^k, k = n - u(n), which fixes
+    n; so each v with v(n) = n serves its n rotations u = (s_1...s_{n-1})^{n-k} v,
+    k = 0, ..., n-1.  With ``engine_check`` each closed form is compared
+    against the full engine product; without it only the formula's
+    divisibility and invariants are exercised (full products dominate the
+    runtime).
     """
     report = VerifyReport("pieri", n)
-    for u in weyl.all_permutations(n):
-        powers = qhring.divisor_powers(weyl.u_up(u, n - u[-1]), qhring._divisor_moves)
-        for m, power in enumerate(powers, start=1):
-            try:
-                closed = conjugate_power(m, u, power.items(), PieriFormulaError)
-            except PieriFormulaError as err:
-                report.record(False, (m, u, err))
-                continue
-            ok = not engine_check or closed == qhring.quantum_product(weyl.hook(n, m), u)
-            report.record(ok, None if ok else (m, u, closed))
-    report.counterexamples.sort(key=itemgetter(0))  # stable: m, then u
+    for head in weyl.all_permutations(n - 1):
+        v = (*head, n)
+        powers = list(qhring.divisor_powers(v, qhring._divisor_moves))
+        for k in range(n):
+            u = weyl.u_up(v, n - k)
+            conjugate = seidel_conjugation(u, PieriFormulaError)
+            for m, power in enumerate(powers, start=1):
+                try:
+                    closed = conjugate(m, power.items())
+                except PieriFormulaError as err:
+                    report.record(False, (m, u, err))
+                    continue
+                ok = not engine_check or closed == qhring.quantum_product(weyl.hook(n, m), u)
+                report.record(ok, None if ok else (m, u, closed))
+    report.counterexamples.sort(key=itemgetter(0, 1))
     return report
 
 

@@ -1,11 +1,12 @@
 """The engine's move lists against the length-based oracle.
 
-``qhring._monk_moves`` finds quantum Bruhat edges by a local test on the
-positions between a and b, and ``qhring.quantum_chevalley`` sums X_1 + ... +
-X_i from it; the oracle (``moves_oracle.py``) compares full inversion counts
-and builds X_r as the difference of two Chevalley lists.  The Monk lists
-must agree exactly, order included, since the order fixes the order of
-every product's terms; the Chevalley products must agree as classes.
+``qhring._monk_moves`` and ``qhring._divisor_moves`` find quantum Bruhat
+edges by one scan per side of a position, and ``qhring.quantum_chevalley``
+sums X_1 + ... + X_i from the Monk lists; the oracle (``moves_oracle.py``)
+compares full inversion counts and builds X_r as the difference of two
+Chevalley lists.  The Monk and divisor lists must agree exactly, order
+included, since the order fixes the order of every product's terms; the
+Chevalley products must agree as classes.
 """
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,3 +48,21 @@ def test_moves_match_oracle_on_all_of_s_n(n, quantum):
        st.booleans())
 def test_moves_match_oracle_sampled_n7_n8(w, quantum):
     assert_same_moves(tuple(w), quantum)
+
+
+def assert_same_divisor_moves(w):
+    # Monk's rule for s_{n-1} is the classical Chevalley list of i = n - 1
+    expected = tuple((wp, 1) for _, wp in oracle.chevalley_moves(w, len(w) - 1, False))
+    assert qhring._divisor_moves(w) == expected, w
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_divisor_moves_match_oracle_on_all_of_s_n(n):
+    for w in weyl.all_permutations(n):
+        assert_same_divisor_moves(w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((7, 8)).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_divisor_moves_match_oracle_sampled_n7_n8(w):
+    assert_same_divisor_moves(tuple(w))

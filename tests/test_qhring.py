@@ -86,6 +86,17 @@ def test_divisor_power_rejects_hook_size():
             qhring.divisor_power(m, weyl.identity(4), qhring._divisor_moves)
 
 
+def test_get_engine_is_one_engine_per_rank_and_kind():
+    # every call form shares one engine, so products share one memo
+    engine = qhring.get_engine(4)
+    assert qhring.get_engine(4, True) is engine
+    assert qhring.get_engine(4, quantum=True) is engine
+    assert qhring.get_engine(n=4, quantum=True) is engine
+    classical = qhring.get_engine(4, False)
+    assert classical is not engine and not classical.quantum
+    assert qhring.get_engine(4, quantum=False) is classical
+
+
 def test_fl5_product_golden():
     u = (4, 3, 5, 1, 2)
     v = sigma([2, 3, 4], 5)

@@ -72,16 +72,34 @@ def test_verify_sweeps(n):
     assert seidel.verify_support(n).ok
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_verify_pieri_runs_one_chain_per_class_of_s_n_minus_1(n, monkeypatch):
+    # u and its rotations share the chain of u^k, k = n - u(n), which fixes n
+    powers = qhring.divisor_powers
+    starts = []
+
+    def spy(v, moves):
+        starts.append(v)
+        return powers(v, moves)
+
+    monkeypatch.setattr(qhring, "divisor_powers", spy)
+    r = seidel.verify_pieri(n, engine_check=False)
+    assert r.ok and r.total == len(weyl.all_permutations(n)) * (n - 1)
+    assert len(starts) == len(set(starts)) == len(weyl.all_permutations(n - 1))
+    assert all(v[-1] == n for v in starts)
+
+
 def test_verify_pieri_compares_with_engine(monkeypatch):
     # a closed form that drops its one term at (m, u) = (1, id) must come
     # back as that case's counterexample when the engine check is on
     n = 3
-    closed_form = seidel.conjugate_power
+    closed_form = seidel.seidel_conjugation
 
-    def planted(m, u, terms, error):
-        return {} if (m, u) == (1, weyl.identity(n)) else closed_form(m, u, terms, error)
+    def planted(u, error):
+        conjugate = closed_form(u, error)
+        return lambda m, terms: {} if (m, u) == (1, weyl.identity(n)) else conjugate(m, terms)
 
-    monkeypatch.setattr(seidel, "conjugate_power", planted)
+    monkeypatch.setattr(seidel, "seidel_conjugation", planted)
     r = seidel.verify_pieri(n)
     assert r.counterexamples == [(1, weyl.identity(n), {})]
     assert (r.total, r.passed) == (12, 11)
@@ -89,25 +107,32 @@ def test_verify_pieri_compares_with_engine(monkeypatch):
 
 
 def test_verify_pieri_formula_error_fails_one_record(monkeypatch):
-    # the sweep runs one divisor-power chain per u: a PieriFormulaError at
-    # (2, u) fails that record alone, the other hook sizes of u still pass,
-    # and counterexamples come out in (m, u) order although u runs outermost
+    # the sweep runs one divisor-power chain per v in S_{n-1}: a
+    # PieriFormulaError at (2, u) fails that record alone, the other hook
+    # sizes of u still pass, and counterexamples come out in (m, u) order
+    # although the chains run outermost: 1432 comes from the chain of 3214,
+    # the last one, and 2413 from that of 3124
     n = 4
     perms = weyl.all_permutations(n)
-    raise_at, drop_at = (2, perms[3]), (1, perms[10])
-    closed_form = seidel.conjugate_power
+    raise_at, drop_at = (2, perms[3]), [(1, perms[5]), (1, perms[10])]
+    closed_form = seidel.seidel_conjugation
 
-    def planted(m, u, terms, error):
-        if (m, u) == raise_at:
-            raise error("planted")
-        return {} if (m, u) == drop_at else closed_form(m, u, terms, error)
+    def planted(u, error):
+        conjugate = closed_form(u, error)
 
-    monkeypatch.setattr(seidel, "conjugate_power", planted)
+        def apply(m, terms):
+            if (m, u) == raise_at:
+                raise error("planted")
+            return {} if (m, u) in drop_at else conjugate(m, terms)
+
+        return apply
+
+    monkeypatch.setattr(seidel, "seidel_conjugation", planted)
     r = seidel.verify_pieri(n)
-    assert (r.total, r.passed) == (72, 70)
-    assert [c[:2] for c in r.counterexamples] == [drop_at, raise_at]
-    assert r.counterexamples[0][2] == {}
-    err = r.counterexamples[1][2]
+    assert (r.total, r.passed) == (72, 69)
+    assert [c[:2] for c in r.counterexamples] == [*drop_at, raise_at]
+    assert r.counterexamples[0][2] == r.counterexamples[1][2] == {}
+    err = r.counterexamples[2][2]
     assert isinstance(err, seidel.PieriFormulaError) and str(err) == "planted"
     r = seidel.verify_pieri(n, engine_check=False)
     assert (r.total, r.passed) == (72, 71)
@@ -169,7 +194,7 @@ def test_conjugation_matches_seidel_power_reference_sampled_n6():
 def test_conjugation_degree_identity(n):
     # T^{n-k} times q_1^{-1} ... q_{n-1}^{1-n} sends sigma^w to the class of
     # w with values x -> x - k mod n, in degree q_i = -#{j <= i : w(j) <= k};
-    # conjugate_power adds lambda(u, k) for a u with u(n) = n - k
+    # seidel_conjugation adds lambda(u, k) for a u with u(n) = n - k
     for k in range(n):
         u = weyl.u_up(weyl.identity(n), n - k)
         base = weyl.lambda_cumulative(u, k)
@@ -180,7 +205,7 @@ def test_conjugation_degree_identity(n):
             assert w_up == tuple((x - k - 1) % n + 1 for x in w)
             q = tuple(b - c for b, c in zip(base, low))
             try:
-                got = seidel.conjugate_power(1, u, [(w, 7)], seidel.PieriFormulaError)
+                got = seidel.seidel_conjugation(u, seidel.PieriFormulaError)(1, [(w, 7)])
             except seidel.PieriFormulaError:
                 got = None
             assert got == (None if min(q) < 0 else {(q, w_up): 7}), (k, w)
