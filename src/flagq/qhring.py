@@ -20,8 +20,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from operator import add, gt
-from typing import Iterable, Iterator, Optional
+from operator import add, gt, sub
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import rootsys, weyl
 from .polynomials import accumulate
@@ -345,11 +345,15 @@ def structure_constant(
     u: Permutation, v: Permutation, w: Permutation, lam: DegreeVector
 ) -> int:
     """The Gromov-Witten coefficient of q_lam sigma^w in sigma^u * sigma^v."""
-    if length(u) + length(v) != length(w) + rootsys.pair_2rho(lam):
-        return 0
-    if not rootsys.is_nonnegative(lam):
+    if not _degree_consistent(u, v, w, lam):
         return 0
     return quantum_product(u, v).get((lam, w), 0)
+
+
+def _degree_consistent(u, v, w, lam) -> bool:
+    """The degree axiom and lam >= 0, without which N_{u,v}^{w,lam} is 0."""
+    degree = length(w) + rootsys.pair_2rho(lam)
+    return rootsys.is_nonnegative(lam) and length(u) + length(v) == degree
 
 
 def check_product_invariants(cls: QClass, degree: int) -> None:
@@ -470,26 +474,38 @@ def _components(indices: list[int]) -> list[list[int]]:
     return comps
 
 
+def _fibre_member(
+    i: int, lam: DegreeVector, w: Permutation, s: int
+) -> tuple[DegreeVector, Permutation]:
+    """The member of alpha_i-grade s of the P^1 fibre over the coset minimum w.
+
+    The fibre is {q_{lam + t alpha_i^vee} sigma^{w s_i^e}}, of grade
+    e + <alpha_i, lam> + 2t since <alpha_i, alpha_i^vee> = 2, so with
+    d = s - <alpha_i, lam> its member of grade s has e = d mod 2 and
+    t = floor(d/2).  alpha_i^vee is the i-th unit vector of the coroot basis.
+    """
+    t, e = divmod(s - rootsys.pair_root(i, lam), 2)
+    return lam[: i - 1] + (lam[i - 1] + t,) + lam[i:], swap(w, i) if e else w
+
+
 def psi_alpha(
     i: int, lam_p: DegreeVector, w: Permutation
 ) -> tuple[DegreeVector, Permutation]:
     """Injection QH*(G/P_{alpha_i}) -> QH*(G/B): q_{lam_P} sigma^w -> q_{lam_B} sigma^{w w_P w_{P'}}.
 
-    ``lam_p`` is any representative of the class modulo Z alpha_i^vee.  For
-    lam_P = 0 the lift is 0 and Delta_{P'} = Delta_P, so the image of the
-    identity class is the identity class.
+    ``lam_p`` is any representative of the class modulo Z alpha_i^vee.  The
+    Peterson-Woodward lift for Delta_P = {i} is the grade-0 member of the
+    fibre (_fibre_member, s = 0): <alpha_i, lam_B> is 0 or -1, and w_{P'} is
+    s_i exactly when it is 0.  So lam_P = 0 maps the identity to itself.
     """
     if sgn_alpha(w, i):
         raise ValueError(f"{w} is not a minimal coset representative for P_alpha_{i}")
-    lift = peterson_woodward_lift(lam_p, (i,))
-    # w_P = s_i, and w_{P'} is s_i or the identity
-    return lift.lambda_B, w if i in lift.delta_P_prime else swap(w, i)
+    return _fibre_member(i, lam_p, w, 0)
 
 
 # --- quantum -> classical reduction ----------------------------------------
 
-@dataclass(frozen=True)
-class ReduceState:
+class ReduceState(NamedTuple):
     u: Permutation
     v: Permutation
     w: Permutation
@@ -504,12 +520,12 @@ class ReduceTrace:
     value: Optional[int]
 
 
-def _vanishes(st: ReduceState) -> bool:
-    """Vanishing criterion: some simple root alpha_i with positive grade excess."""
-    grades = _grades(st.lam, st.w)
-    return any(
-        grades[i - 1] > sgn_alpha(st.u, i) + sgn_alpha(st.v, i) for i in range(1, len(st.u))
-    )
+def _excess(st: ReduceState) -> list[int]:
+    """_grades(lam, w) minus _grades(0, u) + _grades(0, v): a positive entry is
+    the vanishing criterion, a zero entry an additive grade (a reduction step)."""
+    zero = _zero(len(st.u))
+    bounds = map(add, _grades(zero, st.u), _grades(zero, st.v))
+    return list(map(sub, _grades(st.lam, st.w), bounds))
 
 
 def reduce_step(
@@ -517,76 +533,60 @@ def reduce_step(
 ) -> list[tuple[str, ReduceState]]:
     """All single-step rewrites of N_{u,v}^{w,lam} with equal value.
 
-    For each simple root alpha_i where the grade is additive (the i-th of
-    _grades(lam, w) is sgn(u) + sgn(v)), the constant equals a 3-point
-    invariant of the P^1-fibration G/B -> G/P_{alpha_i} and depends only on
-    the coset data: take u, v to their coset minima u', v', flip either back
-    up, and re-lift (w, lam) through Peterson-Woodward to the matching
-    grade.  This subsumes the degree-lowering identities and the lam = 0
-    exchange rule as special cases.
-
-    psi_alpha gives the grade-0 member (lam0, w0) of the fiber over w_min.
-    The rewrite to u' s_i^{e_u}, v' s_i^{e_v} takes the member of grade
-    s = e_u + e_v: with p = sgn(w0) + s, it is w_min s_i when p is odd
-    (w_min otherwise), at degree lam0 + floor(p/2) alpha_i^vee.
+    For each simple root alpha_i where the grade is additive (_excess is 0 at
+    i), the constant equals a 3-point invariant of the P^1-fibration
+    G/B -> G/P_{alpha_i} and depends only on the coset data: take u, v, w to
+    their coset minima u', v', w', flip u' and v' back up to u' s_i^{e_u} and
+    v' s_i^{e_v}, and take the member of grade s = e_u + e_v of the fibre
+    over w' (_fibre_member): q_{lam + t alpha_i^vee} sigma^{w' s_i^e} has
+    grade e + <alpha_i, lam> + 2t, so e = d mod 2 and t = floor(d/2) with
+    d = s - <alpha_i, lam>.  This subsumes the degree-lowering identities
+    and the lam = 0 exchange rule as special cases.
     """
     start = ReduceState(u, v, w, lam)
     out: list[tuple[str, ReduceState]] = []
-    grades = _grades(lam, w)
-    for i in range(1, len(u)):
-        su, sv, sw = sgn_alpha(u, i), sgn_alpha(v, i), sgn_alpha(w, i)
-        if grades[i - 1] != su + sv:
+    for i, excess in enumerate(_excess(start), 1):
+        if excess:
             continue
-        u_min = swap(u, i) if su else u
-        v_min = swap(v, i) if sv else v
-        w_min = swap(w, i) if sw else w
-        lam0, w0 = psi_alpha(i, lam, w_min)
-        t = sgn_alpha(w0, i)
-        for e_u in (0, 1):
-            for e_v in (0, 1):
-                p = t + e_u + e_v
-                # alpha_i^vee is the i-th unit vector of the coroot basis
-                nxt = ReduceState(
-                    swap(u_min, i) if e_u else u_min,
-                    swap(v_min, i) if e_v else v_min,
-                    swap(w_min, i) if p % 2 else w_min,
-                    lam0[: i - 1] + (lam0[i - 1] + p // 2,) + lam0[i:],
-                )
-                if nxt != start:
-                    out.append((f"alpha_{i}[{e_u}{e_v}]", nxt))
+        u_min, v_min, w_min = (swap(x, i) if x[i - 1] > x[i] else x for x in (u, v, w))
+        for e_u, e_v in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            lam_s, w_s = _fibre_member(i, lam, w_min, e_u + e_v)
+            nxt = ReduceState(
+                swap(u_min, i) if e_u else u_min, swap(v_min, i) if e_v else v_min, w_s, lam_s
+            )
+            if nxt != start:
+                out.append((f"alpha_{i}[{e_u}{e_v}]", nxt))
     return out
 
 
 def reduce_trace(
-    u: Permutation,
-    v: Permutation,
-    w: Permutation,
-    lam: DegreeVector,
+    u: Permutation, v: Permutation, w: Permutation, lam: DegreeVector
 ) -> ReduceTrace:
     """Reduce N_{u,v}^{w,lam} to a classical constant or a certified zero.
 
-    Breadth-first search over the reduce_step rewrite graph for a state with
-    lam = 0 (evaluated classically) or a state where the vanishing criterion
-    applies; reports "stuck" if the reachable component contains neither.
-    Every state on the returned chain is re-checked numerically via
-    structure_constant.
+    A start that breaks the degree axiom or has a negative lam entry is zero
+    at once, as in structure_constant.  Otherwise breadth-first search over
+    the reduce_step rewrite graph for a state with lam = 0 (evaluated
+    classically) or a state where the vanishing criterion applies; reports
+    "stuck" if the reachable component contains neither.  Every state on the
+    returned chain is re-checked numerically via structure_constant.
     """
-    n = len(u)
-    zero = rootsys.zero_degree(n)
+    zero = _zero(len(u))
     start = ReduceState(u, v, w, lam)
+    if not _degree_consistent(u, v, w, lam):
+        return ReduceTrace([start], [], "zero", 0)
     parent: dict[ReduceState, tuple[ReduceState, str]] = {start: (start, "")}
     queue = deque([start])
     goal = None
-    terminal = "stuck"
     while queue:
         st = queue.popleft()
-        if _vanishes(st):
+        if max(_excess(st)) > 0:
             goal, terminal = st, "zero"
             break
         if st.lam == zero:
             goal, terminal = st, "classical"
             break
-        for rule, nxt in reduce_step(st.u, st.v, st.w, st.lam):
+        for rule, nxt in reduce_step(*st):
             if nxt not in parent:
                 parent[nxt] = (st, rule)
                 queue.append(nxt)

@@ -26,6 +26,10 @@ CASES = {
                      "--w", "1234", "--lambda", "0,1,1"], 0),
     "reduce-stuck": (["reduce", "--n", "5", "--u", "32154", "--v", "54321",
                       "--w", "45123", "--lambda", "1,1,1,1"], 1),
+    # l(u) + l(v) = 6 but l(w) + <2 rho, lam> = 4: zero by the degree axiom
+    # at the start state, where a search would end stuck
+    "reduce-inconsistent": (["reduce", "--n", "4", "--u", "1432", "--v", "1432",
+                             "--w", "1234", "--lambda", "0,1,1"], 0),
 }
 
 PRODUCT_TEXT = " + ".join([
@@ -155,6 +159,13 @@ PINS = [
      '{"rules": [], "schema": 1, "steps": ['
      '{"lambda": [1, 1, 1, 1], "u": "32154", "v": "54321", "w": "45123"}'
      '], "terminal": "stuck", "value": null}\n'),
+    ("reduce-inconsistent", "text",
+     "  N[u=1432, v=1432; w=1234, lam=0,1,1]\n"
+     "= 0 (vanishing criterion)\n"),
+    ("reduce-inconsistent", "json",
+     '{"rules": [], "schema": 1, "steps": ['
+     '{"lambda": [0, 1, 1], "u": "1432", "v": "1432", "w": "1234"}'
+     '], "terminal": "zero", "value": 0}\n'),
 ]
 
 

@@ -362,6 +362,64 @@ def test_psi_alpha_injective_n3():
         assert len(images) == len(reps) * 3
 
 
+def test_psi_alpha_matches_pw_lift():
+    # the closed-form fibre rule against the general Peterson-Woodward lift,
+    # whose w_{P'} is s_i unless i stays in Delta_{P'}: every i, every w with
+    # no descent at i and every lam in {-2, ..., 3}^{n-1}, n <= 5
+    cases = 0
+    for n in range(2, 6):
+        for i in range(1, n):
+            mins = [w for w in weyl.all_permutations(n) if w[i - 1] < w[i]]
+            for lam in itertools.product(range(-2, 4), repeat=n - 1):
+                lift = qhring.peterson_woodward_lift(lam, (i,))
+                for w in mins:
+                    w_b = w if i in lift.delta_P_prime else weyl.swap(w, i)
+                    assert qhring.psi_alpha(i, lam, w) == (lift.lambda_B, w_b), (i, lam, w)
+                    cases += 1
+    assert cases == 319038
+
+
+def reduce_step_by_pw_lift(u, v, w, lam):
+    """reduce_step through the general lift: the grade-0 fibre member
+    (lam0, w0) over w's coset minimum, then the member of grade e_u + e_v."""
+    out = []
+    grades = qhring._grades(lam, w)
+    for i in range(1, len(u)):
+        su, sv, sw = (weyl.sgn_alpha(x, i) for x in (u, v, w))
+        if grades[i - 1] != su + sv:
+            continue
+        u_min, v_min, w_min = (weyl.swap(x, i) if d else x for x, d in ((u, su), (v, sv), (w, sw)))
+        lift = qhring.peterson_woodward_lift(lam, (i,))
+        lam0 = lift.lambda_B
+        w0 = w_min if i in lift.delta_P_prime else weyl.swap(w_min, i)
+        for e_u in (0, 1):
+            for e_v in (0, 1):
+                p = weyl.sgn_alpha(w0, i) + e_u + e_v
+                nxt = (
+                    weyl.swap(u_min, i) if e_u else u_min,
+                    weyl.swap(v_min, i) if e_v else v_min,
+                    weyl.swap(w_min, i) if p % 2 else w_min,
+                    lam0[: i - 1] + (lam0[i - 1] + p // 2,) + lam0[i:],
+                )
+                if nxt != (u, v, w, lam):
+                    out.append((f"alpha_{i}[{e_u}{e_v}]", nxt))
+    return out
+
+
+def test_reduce_step_matches_pw_lift_route(s4_table):
+    # the rewrite lists, order included, on every term of every S_4 product
+    # and on every term of 40 seeded S_5 products
+    terms = [(u, v, w, lam) for (u, v), prod in s4_table.items() for lam, w in prod]
+    assert len(terms) == 1168
+    rng = random.Random(0)
+    perms = weyl.all_permutations(5)
+    for _ in range(40):
+        u, v = rng.choice(perms), rng.choice(perms)
+        terms += [(u, v, w, lam) for lam, w in sorted(qp(u, v))]
+    for term in terms:
+        assert qhring.reduce_step(*term) == reduce_step_by_pw_lift(*term), term
+
+
 # --- quantum -> classical reduction ----------------------------------------
 
 def degree_candidates(n, total):
@@ -493,20 +551,42 @@ def test_reduce_step_values_agree(s4_table):
     assert (terms, rewrites) == (1168, 7296)
 
 
-def test_grassmannian_type_reduces_to_classical(s4_table):
-    # every nonzero quantum constant with a Grassmannian-type factor admits
-    # a chain terminating at lam = 0
+def test_every_s4_quantum_term_reduces_to_classical(s4_table, monkeypatch):
+    # all 458 quantum terms of the 300 unordered S_4 pairs end classical with
+    # the engine's coefficient, and no trace goes through the general lift
+    def general_lift(*args):
+        raise AssertionError("reduction trace reached the general lift")
+
+    monkeypatch.setattr(qhring, "peterson_woodward_lift", general_lift)
+    monkeypatch.setattr(rootsys, "parabolic_positive_roots", general_lift)
     zero = rootsys.zero_degree(4)
     perms = weyl.all_permutations(4)
-    gr = [u for u in perms if len(weyl.descent_set(u)) <= 1]
-    for u in gr:
-        for v in perms[::2]:
+    terms = 0
+    for k, u in enumerate(perms):
+        for v in perms[k:]:
             for (lam, w), c in s4_table[(u, v)].items():
-                if lam == zero:
-                    continue
-                t = qhring.reduce_trace(u, v, w, lam)
-                assert t.terminal == "classical", (u, v, w, lam)
-                assert t.value == c
+                if lam != zero:
+                    t = qhring.reduce_trace(u, v, w, lam)
+                    assert (t.terminal, t.value) == ("classical", c), (u, v, w, lam)
+                    terms += 1
+    assert terms == 458
+
+
+def test_reduce_trace_degree_inconsistent_start_is_zero():
+    # structure_constant's two early returns, applied at the start state: the
+    # degree axiom fails (6 != 4), or lam has a negative entry (a search from
+    # that start takes one rewrite before the vanishing criterion applies)
+    for u, v, w, lam in [
+        ((1, 4, 3, 2), (1, 4, 3, 2), (1, 2, 3, 4), (0, 1, 1)),
+        ((1, 2, 3, 4), (1, 2, 4, 3), (4, 3, 1, 2), (-1, -1, 0)),
+    ]:
+        t = qhring.reduce_trace(u, v, w, lam)
+        assert (t.states, t.rules, t.terminal, t.value) == (
+            [qhring.ReduceState(u, v, w, lam)], [], "zero", 0
+        )
+    assert repr(t.states[0]) == (
+        "ReduceState(u=(1, 2, 3, 4), v=(1, 2, 4, 3), w=(4, 3, 1, 2), lam=(-1, -1, 0))"
+    )
 
 
 def test_product_invariant_enforcement():
