@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import traceback
+from typing import Optional
 
 from . import ktheory, qhring, rootsys, seidel, table, weyl
 from .reporting import VerifyReport
@@ -96,7 +97,8 @@ def render_verify(payload: dict) -> str:
     )
 
 
-def render_reduce(payload: dict) -> str:
+def render_reduce(payload: dict, zero_by: Optional[str]) -> str:
+    """The trace in text; ``zero_by`` names what gave a "zero" terminal."""
     lines = []
     for idx, st in enumerate(payload["steps"]):
         head = "  " if idx == 0 else f"= [{payload['rules'][idx - 1]}] "
@@ -105,7 +107,7 @@ def render_reduce(payload: dict) -> str:
             f"lam={','.join(map(str, st['lambda']))}]"
         )
     if payload["terminal"] == "zero":
-        lines.append("= 0 (vanishing criterion)")
+        lines.append(f"= 0 ({zero_by})")
     elif payload["terminal"] == "stuck":
         lines.append("stuck: no reduction rule applies")
     else:
@@ -276,7 +278,7 @@ def cmd_reduce(args) -> int:
     emit(
         {"terminal": trace.terminal, "value": trace.value, "steps": steps,
          "rules": trace.rules},
-        render_reduce,
+        lambda payload: render_reduce(payload, trace.zero_by),
         args.format,
     )
     if trace.terminal == "stuck":

@@ -9,7 +9,10 @@ in H* and in K, whose powers are the hook products.  The
 Lascoux-Schutzenberger transition step writes every sigma^w != sigma^id as
 X_r sigma^v plus classes that are shorter, or as long and lexicographically
 larger.  Products follow by an integer recursion on the shorter factor,
-memoized per rank.
+memoized per rank.  Inside that recursion a term q^lam sigma^w is one int:
+the engine's index of w in the low bits and the lam_i above them as digits
+in base n(n-1)/2 + 1, which no degree of a product reaches, so a q-shift is
+an int addition that never carries (RingEngine).
 
 The same recursion with the quantum terms switched off yields the classical
 cup product, which agrees with the q=0 truncation of the quantum product.
@@ -19,8 +22,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
-from operator import add, gt, sub
+from itertools import chain, islice
+from math import factorial
+from operator import add, gt, itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import rootsys, weyl
@@ -216,7 +220,7 @@ def quantum_chevalley(i: int, c: QClass, n: int, quantum: bool = True) -> QClass
         raise ValueError(f"simple index {i} out of range for n={n}")
     out: QClass = {}
     accumulate(out, (
-        ((_add_degrees(lam, shift), x), sign * coeff)
+        ((rootsys.add_degrees(lam, shift), x), sign * coeff)
         for (lam, w), coeff in c.items()
         for r in range(1, i + 1)
         for sign, shift, x in _monk_moves(w, r, quantum)
@@ -249,11 +253,24 @@ def _transition(
 
 
 # memoized helpers of the recursion; the degree ones also hand out one shared
-# tuple per value, so that memo entries do not each hold a copy
+# tuple per value, so that move lists and classes do not each hold a copy
 _length = lru_cache(maxsize=None)(length)
 _zero = lru_cache(maxsize=None)(rootsys.zero_degree)
 _coroot = lru_cache(maxsize=None)(rootsys.coroot)
-_add_degrees = lru_cache(maxsize=None)(rootsys.add_degrees)
+
+
+@lru_cache(maxsize=None)
+def _code(lam: DegreeVector) -> int:
+    """The lam_i as the digits of one int in base n(n-1)/2 + 1, lam_1 lowest (RingEngine)."""
+    base = len(lam) * (len(lam) + 1) // 2 + 1
+    return sum(x * base**i for i, x in enumerate(lam))
+
+
+@lru_cache(maxsize=None)
+def _degree(code: int, n: int) -> DegreeVector:
+    """The degree vector whose _code is ``code``."""
+    base = n * (n - 1) // 2 + 1
+    return tuple(code // base**i % base for i in range(n - 1))
 
 
 class RingEngine:
@@ -263,6 +280,16 @@ class RingEngine:
     transition step of w, recursing on the shorter factor down to the
     identity.  ``quantum=False`` gives the classical cup-product engine
     (same recursion with quantum Chevalley moves disabled).
+
+    Inside the engine a term q^lam sigma^w is one int,
+    (_code(lam) << bits) | index(w): the engine numbers each permutation the
+    first time it meets it, bits = n!.bit_length() holds every index, and
+    _code writes the lam_i as digits in base B = n(n-1)/2 + 1.  A q-shift by
+    mu is then the addition of _code(mu) << bits, and it never carries: a
+    term of a sub-product of sigma^w * sigma^z, before cancellation, has
+    lam' >= 0 and l(w') + 2 sum(lam') = l(w) + l(z) <= n(n-1), so every
+    lam'_i <= n(n-1)/2 < B.  The memo maps the pair of factor indices to a
+    flat (term, coeff, term, coeff, ...) tuple; product() decodes.
     """
 
     def __init__(self, n: int, quantum: bool = True):
@@ -270,48 +297,82 @@ class RingEngine:
             raise ValueError("rank must be at least 2")
         self.n = n
         self.quantum = quantum
-        self._identity = identity(n)
-        self._zero = _zero(n)
-        # (shorter, longer) -> product as a tuple of (degree, perm, coeff)
-        self._memo: dict[tuple[Permutation, Permutation], tuple] = {}
+        self._bits = factorial(n).bit_length()
+        self._index: dict[Permutation, int] = {}
+        self._perms: list[Permutation] = []
+        self._order: list[tuple[int, Permutation]] = []  # factor order: length, then w
+        self._moves: dict[int, tuple] = {}  # index * n + r -> X_r on it (_monk)
+        self._transitions: dict[int, tuple] = {}  # index -> its _transition, in ints
+        self._memo: dict[int, tuple[int, ...]] = {}  # shorter << bits | longer -> product
+        self._identity = self._intern(identity(n))
 
     def product(self, u: Permutation, v: Permutation) -> QClass:
         """sigma^u * sigma^v as a fresh dict."""
         if len(u) != len(v) or len(u) != self.n:
             raise ValueError("rank mismatch")
-        return {(lam, w): c for lam, w, c in self._mul(u, v)}
+        bits, mask, perms = self._bits, (1 << self._bits) - 1, self._perms
+        terms = iter(self._mul(self._intern(u), self._intern(v)))
+        return {(_degree(t >> bits, self.n), perms[t & mask]): c for t, c in zip(terms, terms)}
 
-    def _mul(self, w: Permutation, z: Permutation) -> tuple:
-        """sigma^w * sigma^z as a tuple of (degree, permutation, coeff) terms."""
-        if (_length(w), w) > (_length(z), z):
+    def _intern(self, w: Permutation) -> int:
+        """w's index, handed out the first time the engine meets w."""
+        i = self._index.get(w)
+        if i is None:
+            i = self._index[w] = len(self._perms)
+            self._perms.append(w)
+            self._order.append((_length(w), w))
+        return i
+
+    def _monk(self, z: int, r: int) -> tuple[tuple[int, int, int], ...]:
+        """X_r sigma^z as (sign, q-shift, index) terms, read off the scans as _monk_moves is."""
+        w, n, bits = self._perms[z], self.n, self._bits
+        out = []
+        for b, q in _right_edges(w, r):
+            if self.quantum or not q:
+                x = list(w)
+                x[r - 1], x[b - 1] = w[b - 1], w[r - 1]
+                shift = _code(_coroot((r, b), n)) << bits if q else 0
+                out.append((1, shift, self._intern(tuple(x))))
+        for a, q in _left_edges(w, r):
+            if self.quantum or not q:
+                x = list(w)
+                x[a - 1], x[r - 1] = w[r - 1], w[a - 1]
+                shift = _code(_coroot((a, r), n)) << bits if q else 0
+                out.append((-1, shift, self._intern(tuple(x))))
+        return tuple(out)
+
+    def _mul(self, w: int, z: int) -> tuple[int, ...]:
+        """sigma^w * sigma^z as a flat (term, coeff, ...) tuple, no coeff zero."""
+        if self._order[w] > self._order[z]:
             w, z = z, w
-        key = (w, z)
+        key = w << self._bits | z
         got = self._memo.get(key)
         if got is not None:
             return got
         if w == self._identity:
-            got = ((self._zero, z, 1),)
+            got = (z, 1)
         else:
-            r, v, rest = _transition(w, self.quantum)
-            out: dict = {}
-            for sign, lam, x in _monk_moves(z, r, self.quantum):
-                _accumulate(out, self._mul(v, x), sign, lam, self._zero)
-            for sign, lam, x in rest:
-                _accumulate(out, self._mul(x, z), sign, lam, self._zero)
-            got = tuple((lam, x, c) for (lam, x), c in out.items())
+            step = self._transitions.get(w)
+            if step is None:
+                r, v, rest = _transition(self._perms[w], self.quantum)
+                rest = tuple((s, _code(lam) << self._bits, self._intern(x)) for s, lam, x in rest)
+                step = self._transitions[w] = (r, self._intern(v), rest)
+            r, v, rest = step
+            moves = self._moves.get(z * self.n + r)
+            if moves is None:
+                moves = self._moves[z * self.n + r] = self._monk(z, r)
+            out: dict[int, int] = {}
+            get = out.get
+            # sigma^v * (X_r sigma^z) and rest * sigma^z: a fixed factor times each term
+            for f, terms in ((v, moves), (z, rest)):
+                for sign, shift, x in terms:
+                    it = iter(self._mul(f, x))
+                    for t, c in zip(it, it):
+                        t += shift
+                        out[t] = get(t, 0) + sign * c
+            got = tuple(chain.from_iterable(filter(itemgetter(1), out.items())))
         self._memo[key] = got
         return got
-
-
-def _accumulate(out: dict, terms: tuple, sign: int, shift: DegreeVector, zero) -> None:
-    """out += sign * q^shift * terms, dropping terms that cancel to zero."""
-    for lam, w, c in terms:
-        key = (lam if shift == zero else _add_degrees(lam, shift), w)
-        v = out.get(key, 0) + sign * c
-        if v:
-            out[key] = v
-        else:
-            del out[key]
 
 
 _engines = lru_cache(maxsize=None)(RingEngine)
@@ -334,9 +395,9 @@ def classical_product(u: Permutation, v: Permutation) -> QClass:
 
     A separate engine with the quantum terms off, because it is cheaper than
     the q = 0 part of a quantum product: on a 2-vCPU host (Python 3.11) the
-    30 240 hook products of n = 7 take about 1.3-1.6 s at 57 MB peak RSS,
-    against 3.0-3.6 s at 83 MB through the quantum engine, and ``verify
-    ktheory --n 7`` takes 4.1-4.9 s at 60 MB, against 6.7-7.1 s at 86 MB.
+    30 240 hook products of n = 7 take about 1.2 s at 48 MB peak RSS,
+    against 2.1-2.5 s at 72 MB through the quantum engine, and ``verify
+    ktheory --n 7`` takes 4.2-4.6 s at 52 MB, against 5.3-5.6 s at 75 MB.
     """
     return get_engine(len(u), False).product(u, v)
 
@@ -345,15 +406,18 @@ def structure_constant(
     u: Permutation, v: Permutation, w: Permutation, lam: DegreeVector
 ) -> int:
     """The Gromov-Witten coefficient of q_lam sigma^w in sigma^u * sigma^v."""
-    if not _degree_consistent(u, v, w, lam):
+    if _inconsistency(u, v, w, lam):
         return 0
     return quantum_product(u, v).get((lam, w), 0)
 
 
-def _degree_consistent(u, v, w, lam) -> bool:
-    """The degree axiom and lam >= 0, without which N_{u,v}^{w,lam} is 0."""
-    degree = length(w) + rootsys.pair_2rho(lam)
-    return rootsys.is_nonnegative(lam) and length(u) + length(v) == degree
+def _inconsistency(u, v, w, lam) -> Optional[str]:
+    """Which of lam >= 0 and the degree axiom fails, making N_{u,v}^{w,lam} 0, if one does."""
+    if not rootsys.is_nonnegative(lam):
+        return "negative lambda entry"
+    if length(u) + length(v) != length(w) + rootsys.pair_2rho(lam):
+        return "degree axiom"
+    return None
 
 
 def check_product_invariants(cls: QClass, degree: int) -> None:
@@ -518,6 +582,8 @@ class ReduceTrace:
     rules: list[str]
     terminal: str  # "classical" | "zero" | "stuck"
     value: Optional[int]
+    # what gave a "zero" terminal: "vanishing criterion" or an _inconsistency
+    zero_by: Optional[str] = None
 
 
 def _excess(st: ReduceState) -> list[int]:
@@ -544,9 +610,15 @@ def reduce_step(
     and the lam = 0 exchange rule as special cases.
     """
     start = ReduceState(u, v, w, lam)
+    return _rewrites(start, _excess(start))
+
+
+def _rewrites(start: ReduceState, excess: list[int]) -> list[tuple[str, ReduceState]]:
+    """reduce_step of a state whose _excess is already known."""
+    u, v, w, lam = start
     out: list[tuple[str, ReduceState]] = []
-    for i, excess in enumerate(_excess(start), 1):
-        if excess:
+    for i, e in enumerate(excess, 1):
+        if e:
             continue
         u_min, v_min, w_min = (swap(x, i) if x[i - 1] > x[i] else x for x in (u, v, w))
         for e_u, e_v in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -573,20 +645,22 @@ def reduce_trace(
     """
     zero = _zero(len(u))
     start = ReduceState(u, v, w, lam)
-    if not _degree_consistent(u, v, w, lam):
-        return ReduceTrace([start], [], "zero", 0)
+    inconsistency = _inconsistency(u, v, w, lam)
+    if inconsistency:
+        return ReduceTrace([start], [], "zero", 0, inconsistency)
     parent: dict[ReduceState, tuple[ReduceState, str]] = {start: (start, "")}
     queue = deque([start])
     goal = None
     while queue:
         st = queue.popleft()
-        if max(_excess(st)) > 0:
+        excess = _excess(st)
+        if max(excess) > 0:
             goal, terminal = st, "zero"
             break
         if st.lam == zero:
             goal, terminal = st, "classical"
             break
-        for rule, nxt in reduce_step(*st):
+        for rule, nxt in _rewrites(st, excess):
             if nxt not in parent:
                 parent[nxt] = (st, rule)
                 queue.append(nxt)
@@ -617,4 +691,5 @@ def _finish(states, rules, terminal, value) -> ReduceTrace:
         raise AssertionError(f"reduction chain not constant: {vals}")
     if value is not None and vals and vals[0] != value:
         raise AssertionError(f"chain value {vals[0]} != terminal value {value}")
-    return ReduceTrace(states, rules, terminal, value)
+    zero_by = "vanishing criterion" if terminal == "zero" else None
+    return ReduceTrace(states, rules, terminal, value, zero_by)

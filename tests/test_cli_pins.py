@@ -30,6 +30,9 @@ CASES = {
     # at the start state, where a search would end stuck
     "reduce-inconsistent": (["reduce", "--n", "4", "--u", "1432", "--v", "1432",
                              "--w", "1234", "--lambda", "0,1,1"], 0),
+    # zero at the start state by a negative lambda entry
+    "reduce-negative": (["reduce", "--n", "4", "--u", "1432", "--v", "1432",
+                         "--w", "1234", "--lambda", "0,-1,1"], 0),
 }
 
 PRODUCT_TEXT = " + ".join([
@@ -161,10 +164,17 @@ PINS = [
      '], "terminal": "stuck", "value": null}\n'),
     ("reduce-inconsistent", "text",
      "  N[u=1432, v=1432; w=1234, lam=0,1,1]\n"
-     "= 0 (vanishing criterion)\n"),
+     "= 0 (degree axiom)\n"),
     ("reduce-inconsistent", "json",
      '{"rules": [], "schema": 1, "steps": ['
      '{"lambda": [0, 1, 1], "u": "1432", "v": "1432", "w": "1234"}'
+     '], "terminal": "zero", "value": 0}\n'),
+    ("reduce-negative", "text",
+     "  N[u=1432, v=1432; w=1234, lam=0,-1,1]\n"
+     "= 0 (negative lambda entry)\n"),
+    ("reduce-negative", "json",
+     '{"rules": [], "schema": 1, "steps": ['
+     '{"lambda": [0, -1, 1], "u": "1432", "v": "1432", "w": "1234"}'
      '], "terminal": "zero", "value": 0}\n'),
 ]
 

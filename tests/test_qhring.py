@@ -576,17 +576,40 @@ def test_reduce_trace_degree_inconsistent_start_is_zero():
     # structure_constant's two early returns, applied at the start state: the
     # degree axiom fails (6 != 4), or lam has a negative entry (a search from
     # that start takes one rewrite before the vanishing criterion applies)
-    for u, v, w, lam in [
-        ((1, 4, 3, 2), (1, 4, 3, 2), (1, 2, 3, 4), (0, 1, 1)),
-        ((1, 2, 3, 4), (1, 2, 4, 3), (4, 3, 1, 2), (-1, -1, 0)),
+    for u, v, w, lam, zero_by in [
+        ((1, 4, 3, 2), (1, 4, 3, 2), (1, 2, 3, 4), (0, 1, 1), "degree axiom"),
+        ((1, 2, 3, 4), (1, 2, 4, 3), (4, 3, 1, 2), (-1, -1, 0), "negative lambda entry"),
     ]:
         t = qhring.reduce_trace(u, v, w, lam)
-        assert (t.states, t.rules, t.terminal, t.value) == (
-            [qhring.ReduceState(u, v, w, lam)], [], "zero", 0
+        assert (t.states, t.rules, t.terminal, t.value, t.zero_by) == (
+            [qhring.ReduceState(u, v, w, lam)], [], "zero", 0, zero_by
         )
     assert repr(t.states[0]) == (
         "ReduceState(u=(1, 2, 3, 4), v=(1, 2, 4, 3), w=(4, 3, 1, 2), lam=(-1, -1, 0))"
     )
+
+
+def test_reduce_trace_names_the_vanishing_criterion():
+    t = qhring.reduce_trace((1, 2, 3, 4), (2, 4, 3, 1), (1, 2, 3, 4), (0, 1, 1))
+    assert (t.terminal, len(t.rules), t.zero_by) == ("zero", 1, "vanishing criterion")
+    t = qhring.reduce_trace((2, 1, 3, 4), (2, 1, 3, 4), (1, 2, 3, 4), (1, 0, 0))
+    assert (t.terminal, t.value, t.zero_by) == ("classical", 1, None)
+
+
+def test_reduce_trace_computes_each_excess_once(s4_table, monkeypatch):
+    # the search hands each expanded state's excess to its rewrites
+    seen = []
+    excess = qhring._excess
+    monkeypatch.setattr(qhring, "_excess", lambda st: seen.append(st) or excess(st))
+    zero = rootsys.zero_degree(4)
+    perms = weyl.all_permutations(4)
+    for u in perms[::3]:
+        for v in perms[::5]:
+            for lam, w in s4_table[(u, v)]:
+                if lam != zero:
+                    seen.clear()
+                    qhring.reduce_trace(u, v, w, lam)
+                    assert seen and len(seen) == len(set(seen)), (u, v, w, lam)
 
 
 def test_product_invariant_enforcement():
