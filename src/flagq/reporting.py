@@ -13,10 +13,11 @@ class VerifyReport:
     passed: int = 0
     counterexamples: list[Any] = field(default_factory=list)
 
-    def record(self, ok: bool, witness: Any = None) -> None:
-        self.total += 1
+    def record(self, ok: bool, witness: Any = None, count: int = 1) -> None:
+        """Record ``count`` cases that share one verdict."""
+        self.total += count
         if ok:
-            self.passed += 1
+            self.passed += count
         elif witness is not None:
             self.counterexamples.append(witness)
         # a failure with no witness still counts against `passed`

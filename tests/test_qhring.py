@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import filtration_oracle
 from flagq import polynomials, qhring, rootsys, weyl
 
 
@@ -221,7 +222,9 @@ def test_filtration_reports_planted_violation(monkeypatch):
     # (l(id) + <2 rho, alpha_1^vee> = 2 = l(s_1) + l(s_2)), but its alpha_1
     # grade 0 + 2 exceeds sgn(s_1) + sgn(s_2) = 1.  The product is
     # commutative and the sweep asks for one order only, so the term is
-    # planted in both.
+    # planted in both.  s_2 = s_1^2 is no orbit representative, so only the
+    # full pair sweep multiplies it (the Seidel equivariance test in
+    # test_filtration_oracle.py catches this fault in the engine's place).
     n = 3
     u, v = weyl.from_word([1], n), weyl.from_word([2], n)
     extra = ((1, 0), weyl.identity(n))
@@ -236,7 +239,7 @@ def test_filtration_reports_planted_violation(monkeypatch):
         return out
 
     monkeypatch.setattr(qhring, "quantum_product", planted)
-    first, second = qhring.verify_filtration(n)
+    first, second = filtration_oracle.verify_filtration(n)
     assert first.counterexamples == [(u, v, [extra]), (v, u, [extra])]
     assert (first.total, first.passed) == (36, 34)
     assert second.ok
