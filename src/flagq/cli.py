@@ -79,7 +79,7 @@ def render_k_class(payload: dict) -> str:
         return text
     lines = [
         ("- " if r["coeff"] < 0 else "+ ")
-        + render_magnitude(r["coeff"], r["q"], f"O{tuple(r['partition'])}")
+        + render_magnitude(r["coeff"], r["q"], "O(" + ", ".join(map(str, r["partition"])) + ")")
         for r in payload["projected"]
     ]
     return text + "\nprojected:\n" + "\n".join(lines)

@@ -3,8 +3,8 @@
 Elements are sparse maps (degree vector, permutation) -> integer
 coefficient.  Every rule is read off the quantum Bruhat graph, whose edges
 at a position r come from one scan per side (_left_edges, _right_edges): the
-quantum Monk operators X_r of Fomin, Gelfand and Postnikov, their sums
-X_1 + ... + X_i (the quantum Chevalley operators), and the divisor s_{n-1}
+quantum Monk operators X_r of Fomin, Gelfand and Postnikov (RingEngine._monk),
+the quantum Chevalley operators of the divisors s_i, and the divisor s_{n-1}
 in H* and in K, whose powers are the hook products.  The
 Lascoux-Schutzenberger transition step writes every sigma^w != sigma^id as
 X_r sigma^v plus classes that are shorter, or as long and lexicographically
@@ -180,76 +180,25 @@ def divisor_power(m: int, v: Permutation, moves) -> QClass:
 
 # --- transition engine ------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _monk_moves(
-    w: Permutation, r: int, quantum: bool
-) -> tuple[tuple[int, DegreeVector, Permutation], ...]:
-    """X_r sigma^w as (sign, degree, permutation) terms.
-
-    X_r = sigma^{s_r} - sigma^{s_{r-1}} is the quantum Monk operator of
-    Fomin-Gelfand-Postnikov.  The Chevalley moves over (a, b) with
-    a < r < b occur for both divisors and cancel, which leaves +moves over
-    (r, b) with b > r and -moves over (a, r) with a < r, listed here in that
-    order.  One scan per side of r finds them (_right_edges, _left_edges):
-    classical when w(a) < w(b) and no c in (a, b) has w(c) between them,
-    quantum (degree gamma^vee) when w(a) > w(b) and every such c does.
-    """
-    n = len(w)
-    zero = _zero(n)
-    out = []
-    for b, q in _right_edges(w, r):
-        if not q:
-            out.append((1, zero, _move(w, r, b)))
-        elif quantum:
-            out.append((1, _coroot((r, b), n), _move(w, r, b)))
-    for a, q in _left_edges(w, r):
-        if not q:
-            out.append((-1, zero, _move(w, a, r)))
-        elif quantum:
-            out.append((-1, _coroot((a, r), n), _move(w, a, r)))
-    return tuple(out)
-
-
 def quantum_chevalley(i: int, c: QClass, n: int, quantum: bool = True) -> QClass:
     """Multiply a class by the divisor sigma^{s_i}, extending linearly.
 
-    sigma^{s_i} = X_1 + ... + X_i, as X_r = sigma^{s_r} - sigma^{s_{r-1}}
-    telescopes; the moves over (a, b) with b <= i cancel between X_a and X_b.
+    The quantum Chevalley formula: sigma^{s_i} * sigma^w is the sum of
+    sigma^{w t_ab} over the quantum Bruhat edges w -> w t_ab with
+    a <= i < b (_right_edges of each a), times q^{gamma^vee},
+    gamma = e_a - e_b, when the edge is quantum.
     """
     if not 1 <= i <= n - 1:
         raise ValueError(f"simple index {i} out of range for n={n}")
     out: QClass = {}
     accumulate(out, (
-        ((rootsys.add_degrees(lam, shift), x), sign * coeff)
+        ((rootsys.add_degrees(lam, _coroot((a, b), n)) if q else lam, _move(w, a, b)), coeff)
         for (lam, w), coeff in c.items()
-        for r in range(1, i + 1)
-        for sign, shift, x in _monk_moves(w, r, quantum)
+        for a in range(1, i + 1)
+        for b, q in _right_edges(w, a)
+        if b > i and (quantum or not q)
     ))
     return out
-
-
-@lru_cache(maxsize=None)
-def _transition(
-    w: Permutation, quantum: bool
-) -> tuple[int, Permutation, tuple[tuple[int, DegreeVector, Permutation], ...]]:
-    """(r, v, rest) with sigma^w = X_r sigma^v + rest, for w != id.
-
-    The Lascoux-Schutzenberger step: r is the last descent of w, s the
-    largest position after r with w(s) < w(r), and v = w t_{rs}.  Among the
-    terms of X_r sigma^v the only classical (r, b) move is w itself, so rest
-    is minus every other term: the sigma^{v t_{ar}} with a < r, and the
-    q-terms.  Each rest term is shorter than w, or as long and
-    lexicographically larger, so the recursion on it ends.
-    """
-    n = len(w)
-    r = max(i for i in range(1, n) if w[i - 1] > w[i])
-    s = max(j for j in range(r + 1, n + 1) if w[j - 1] < w[r - 1])
-    v = _move(w, r, s)
-    top = (_zero(n), w)
-    rest = tuple(
-        (-sign, lam, x) for sign, lam, x in _monk_moves(v, r, quantum) if (lam, x) != top
-    )
-    return r, v, rest
 
 
 # memoized helpers of the recursion; the degree ones also hand out one shared
@@ -302,7 +251,7 @@ class RingEngine:
         self._perms: list[Permutation] = []
         self._order: list[tuple[int, Permutation]] = []  # factor order: length, then w
         self._moves: dict[int, tuple] = {}  # index * n + r -> X_r on it (_monk)
-        self._transitions: dict[int, tuple] = {}  # index -> its _transition, in ints
+        self._transitions: dict[int, tuple] = {}  # index -> its transition step (_transition)
         self._memo: dict[int, tuple[int, ...]] = {}  # shorter << bits | longer -> product
         self._identity = self._intern(identity(n))
 
@@ -324,7 +273,16 @@ class RingEngine:
         return i
 
     def _monk(self, z: int, r: int) -> tuple[tuple[int, int, int], ...]:
-        """X_r sigma^z as (sign, q-shift, index) terms, read off the scans as _monk_moves is."""
+        """X_r sigma^z as (sign, q-shift, index) terms.
+
+        X_r = sigma^{s_r} - sigma^{s_{r-1}} is the quantum Monk operator of
+        Fomin-Gelfand-Postnikov.  The Chevalley moves over (a, b) with
+        a < r < b occur for both divisors and cancel, which leaves +moves over
+        (r, b) with b > r and -moves over (a, r) with a < r, listed here in that
+        order.  One scan per side of r finds them (_right_edges, _left_edges):
+        classical when w(a) < w(b) and no c in (a, b) has w(c) between them,
+        quantum (degree gamma^vee) when w(a) > w(b) and every such c does.
+        """
         w, n, bits = self._perms[z], self.n, self._bits
         out = []
         for b, q in _right_edges(w, r):
@@ -341,6 +299,23 @@ class RingEngine:
                 out.append((-1, shift, self._intern(tuple(x))))
         return tuple(out)
 
+    def _transition(self, w: int) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
+        """(r, v, rest) with sigma^w = X_r sigma^v + rest, for w != id.
+
+        The Lascoux-Schutzenberger step: r is the last descent of w, s the
+        largest position after r with w(s) < w(r), and v = w t_{rs}.  Among the
+        terms of X_r sigma^v (_monk) the only classical (r, b) move is w
+        itself, so rest is minus every other term: the sigma^{v t_{ar}} with
+        a < r, and the q-terms.  Each rest term is shorter than w, or as long
+        and lexicographically larger, so the recursion on it ends.
+        """
+        x, n = self._perms[w], self.n
+        r = max(i for i in range(1, n) if x[i - 1] > x[i])
+        s = max(j for j in range(r + 1, n + 1) if x[j - 1] < x[r - 1])
+        v = self._intern(_move(x, r, s))
+        rest = tuple((-sign, shift, y) for sign, shift, y in self._monk(v, r) if shift or y != w)
+        return r, v, rest
+
     def _mul(self, w: int, z: int) -> tuple[int, ...]:
         """sigma^w * sigma^z as a flat (term, coeff, ...) tuple, no coeff zero."""
         if self._order[w] > self._order[z]:
@@ -354,9 +329,7 @@ class RingEngine:
         else:
             step = self._transitions.get(w)
             if step is None:
-                r, v, rest = _transition(self._perms[w], self.quantum)
-                rest = tuple((s, _code(lam) << self._bits, self._intern(x)) for s, lam, x in rest)
-                step = self._transitions[w] = (r, self._intern(v), rest)
+                step = self._transitions[w] = self._transition(w)
             r, v, rest = step
             moves = self._moves.get(z * self.n + r)
             if moves is None:

@@ -5,6 +5,8 @@ quantum Bruhat edge test: ``chevalley_moves`` finds each edge by a full
 inversion count of w and of w t_ab, and ``monk_moves`` builds both Chevalley
 lists of X_r = sigma^{s_r} - sigma^{s_{r-1}} and keeps the moves that do not
 cancel.  They share no shortcut with ``flagq.qhring``'s move lists.
+``transition`` is the Lascoux-Schutzenberger step read off ``monk_moves``,
+the step the tuple-coded engine oracle and the ring-axiom properties expand.
 """
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ def chevalley_moves(
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def monk_moves(
     w: Permutation, r: int, quantum: bool
 ) -> tuple[tuple[int, DegreeVector, Permutation], ...]:
@@ -63,3 +66,26 @@ def monk_moves(
                 lam = zero_degree(n) if gamma is None else coroot(gamma, n)
                 out.append((sign, lam, wp))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def transition(
+    w: Permutation, quantum: bool
+) -> tuple[int, Permutation, tuple[tuple[int, DegreeVector, Permutation], ...]]:
+    """(r, v, rest) with sigma^w = X_r sigma^v + rest, for w != id.
+
+    The Lascoux-Schutzenberger step: r is the last descent of w, s the
+    largest position after r with w(s) < w(r), and v = w t_{rs}.  X_r sigma^v
+    has the term +sigma^w, and rest is minus every other term, in the order
+    of monk_moves.
+    """
+    n = len(w)
+    r = max(i for i in range(1, n) if w[i - 1] > w[i])
+    s = max(j for j in range(r + 1, n + 1) if w[j - 1] < w[r - 1])
+    v = list(w)
+    v[r - 1], v[s - 1] = v[s - 1], v[r - 1]
+    v = tuple(v)
+    top = (1, zero_degree(n), w)
+    moves = monk_moves(v, r, quantum)
+    assert top in moves, (w, r, v)
+    return r, v, tuple((-sign, lam, x) for sign, lam, x in moves if (sign, lam, x) != top)

@@ -19,6 +19,9 @@ CASES = {
     "explore": (["explore", "--n", "3", "--i", "1", "--j", "2"], 0),
     "qk-conjecture": (["qk-conjecture", "--n", "4", "--hook", "2", "--u-word",
                        "2,3,2,1", "--project", "1,3"], 0),
+    # a projected row whose partition has one part
+    "qk-conjecture-one-part": (["qk-conjecture", "--n", "4", "--hook", "2", "--u", "1342",
+                                "--project", "1,3"], 0),
     # a coefficient 2 and q-terms up to q1*q2*q3^2*q4
     "product": (["product", "--n", "5", "--u", "15432", "--v", "21543"], 0),
     "k-product": (["k-product", "--n", "4", "--hook", "2", "--v-word", "1,2"], 0),
@@ -136,6 +139,22 @@ PINS = [
      '{"coeff": 1, "q": [0, 0, 1], "w": "4213", "word": [3, 1, 2, 1]}, '
      '{"coeff": 1, "q": [1, 1, 1], "w": "1234", "word": []}, '
      '{"coeff": -1, "q": [1, 1, 1], "w": "1243", "word": [3]}'
+     ']}\n'),
+    ("qk-conjecture-one-part", "text",
+     "q3*O[3,2] + q3*O[1,2] - q3*O[3,1,2]\n"
+     "projected:\n"
+     "+ O(2)\n"
+     "- O(2, 1)\n"
+     "+ O(1, 1)\n"),
+    ("qk-conjecture-one-part", "json",
+     '{"n": 4, "projected": ['
+     '{"coeff": 1, "partition": [2], "q": [0, 0, 0]}, '
+     '{"coeff": -1, "partition": [2, 1], "q": [0, 0, 0]}, '
+     '{"coeff": 1, "partition": [1, 1], "q": [0, 0, 0]}'
+     '], "schema": 1, "terms": ['
+     '{"coeff": 1, "q": [0, 0, 1], "w": "1423", "word": [3, 2]}, '
+     '{"coeff": 1, "q": [0, 0, 1], "w": "2314", "word": [1, 2]}, '
+     '{"coeff": -1, "q": [0, 0, 1], "w": "2413", "word": [3, 1, 2]}'
      ']}\n'),
     ("product", "text", PRODUCT_TEXT),
     ("product", "json", PRODUCT_JSON),

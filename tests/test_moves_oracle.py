@@ -1,18 +1,34 @@
-"""The engine's move lists against the length-based oracle.
+"""The engine's move lists and transition steps against the length-based oracle.
 
-``qhring._monk_moves`` and ``qhring._divisor_moves`` find quantum Bruhat
-edges by one scan per side of a position, and ``qhring.quantum_chevalley``
-sums X_1 + ... + X_i from the Monk lists; the oracle (``moves_oracle.py``)
-compares full inversion counts and builds X_r as the difference of two
-Chevalley lists.  The Monk and divisor lists must agree exactly, order
-included, since the order fixes the order of every product's terms; the
-Chevalley products must agree as classes.
+``qhring.RingEngine._monk`` (the quantum Monk lists X_r) and
+``qhring._divisor_moves`` find quantum Bruhat edges by one scan per side of
+a position, ``RingEngine._transition`` reads the Lascoux-Schutzenberger
+step off the engine's own Monk lists, and ``qhring.quantum_chevalley``
+reads the Chevalley formula off the right-hand edge scans.  The oracle
+(``moves_oracle.py``) compares full inversion counts, builds X_r as the
+difference of two Chevalley lists and takes its transition step from those
+lists.  The Monk and divisor lists and the transition steps must agree
+exactly, order included, since the order fixes the order of every
+product's terms; the Chevalley products must agree as classes.
 """
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import moves_oracle as oracle
 from flagq import qhring, rootsys, weyl
+
+engines = lru_cache(maxsize=None)(qhring.RingEngine)
+
+
+def decode(engine, terms):
+    """(sign, q-shift, index) engine terms as the oracle's (sign, degree, permutation)."""
+    n = engine.n
+    return tuple(
+        (sign, qhring._degree(shift >> engine._bits, n), engine._perms[x])
+        for sign, shift, x in terms
+    )
 
 
 def oracle_chevalley(w, i, quantum):
@@ -27,11 +43,13 @@ def oracle_chevalley(w, i, quantum):
 
 def assert_same_moves(w, quantum):
     n = len(w)
+    engine = engines(n, quantum)
+    z = engine._intern(w)
     for i in range(1, n):
         assert qhring.quantum_chevalley(i, qhring.qclass(w), n, quantum) == (
             oracle_chevalley(w, i, quantum)
         ), (w, i, quantum)
-        assert qhring._monk_moves(w, i, quantum) == oracle.monk_moves(
+        assert decode(engine, engine._monk(z, i)) == oracle.monk_moves(
             w, i, quantum
         ), (w, i, quantum)
 
@@ -48,6 +66,19 @@ def test_moves_match_oracle_on_all_of_s_n(n, quantum):
        st.booleans())
 def test_moves_match_oracle_sampled_n7_n8(w, quantum):
     assert_same_moves(tuple(w), quantum)
+
+
+@pytest.mark.parametrize("quantum", (True, False))
+@pytest.mark.parametrize("n", range(2, 6))
+def test_transition_matches_oracle_on_all_of_s_n(n, quantum):
+    engine = qhring.RingEngine(n, quantum)
+    for w in weyl.all_permutations(n):
+        if w == weyl.identity(n):
+            continue
+        r, v, rest = engine._transition(engine._intern(w))
+        assert (r, engine._perms[v], decode(engine, rest)) == oracle.transition(
+            w, quantum
+        ), (w, quantum)
 
 
 def assert_same_divisor_moves(w):

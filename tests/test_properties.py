@@ -1,6 +1,7 @@
 """Ring axioms of the transition engine at n = 5 and n = 6, as hypothesis properties."""
 from hypothesis import example, given, settings, strategies as st
 
+import moves_oracle
 from flagq import qhring, rootsys, weyl
 from test_qhring import cup_oracle
 
@@ -35,8 +36,8 @@ def first_step(w, z):
     n = len(w)
     if w == weyl.identity(n):
         return {(rootsys.zero_degree(n), z): 1}
-    r, v, rest = qhring._transition(w, True)
-    terms = [(sign, lam, v, x) for sign, lam, x in qhring._monk_moves(z, r, True)]
+    r, v, rest = moves_oracle.transition(w, True)
+    terms = [(sign, lam, v, x) for sign, lam, x in moves_oracle.monk_moves(z, r, True)]
     terms += [(sign, lam, x, z) for sign, lam, x in rest]
     out = {}
     for sign, lam, a, b in terms:

@@ -321,8 +321,25 @@ def test_cli_qk_projection_text():
     )
     assert r.returncode == 0
     assert "projected:" in r.stdout
-    assert "+ q3*O(1,)" in r.stdout
+    assert "- q3*O(2)\n" in r.stdout
+    assert "+ q3*O(1)\n" in r.stdout
     assert "- O(3, 3, 2)" in r.stdout
+
+
+def test_cli_import_loads_what_the_benchmark_checker_reads():
+    # perfbench's correctness gate imports flagq.cli alone, then reads the
+    # Schubert-polynomial oracle from sys.modules["flagq.polynomials"]
+    names = ("pmul", "schubert", "trim_perm", "embed_perm", "normal_form",
+             "expand_schubert_homog")
+    probe = (
+        "import sys\n"
+        "import flagq.cli\n"
+        "p = sys.modules.get('flagq.polynomials')\n"
+        f"print(p is not None and [x for x in {names!r} if not hasattr(p, x)])\n"
+    )
+    r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
 
 
 def test_cli_qk_empty_projection(capsys):

@@ -4,16 +4,20 @@ This is how ``flagq.qhring.RingEngine`` stored terms before they became ints:
 every term is a (degree tuple, permutation tuple, coefficient) triple, every
 q-shift builds a new degree tuple, the memo is keyed by the pair of
 permutations, and each sub-product is added in with the zeros deleted as
-they appear.  The recursion is the same integer transition recursion, so it
-reads the same move lists (``qhring._monk_moves``, ``qhring._transition``);
-what it checks is the int encoding of terms, shifts and memo entries.
+they appear.  The recursion is the same integer transition recursion, but
+it reads the length-based Monk lists and transition steps of
+``moves_oracle.py``, which share no code with ``flagq.qhring``: it checks
+the int encoding of terms, shifts and memo entries, and the engine's own
+move lists and transition steps (``RingEngine._monk``, ``_transition``).
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
+from moves_oracle import monk_moves, transition
+
 from flagq import rootsys
-from flagq.qhring import QClass, _monk_moves, _transition
+from flagq.qhring import QClass
 from flagq.weyl import DegreeVector, Permutation, identity, length
 
 _length = lru_cache(maxsize=None)(length)
@@ -54,9 +58,9 @@ class RingEngine:
         if w == self._identity:
             got = ((self._zero, z, 1),)
         else:
-            r, v, rest = _transition(w, self.quantum)
+            r, v, rest = transition(w, self.quantum)
             out: dict = {}
-            for sign, lam, x in _monk_moves(z, r, self.quantum):
+            for sign, lam, x in monk_moves(z, r, self.quantum):
                 _accumulate(out, self._mul(v, x), sign, lam, self._zero)
             for sign, lam, x in rest:
                 _accumulate(out, self._mul(x, z), sign, lam, self._zero)
