@@ -8,11 +8,9 @@ the quantum Chevalley operators of the divisors s_i, and the divisor s_{n-1}
 in H* and in K, whose powers are the hook products.  The
 Lascoux-Schutzenberger transition step writes every sigma^w != sigma^id as
 X_r sigma^v plus classes that are shorter, or as long and lexicographically
-larger.  Products follow by an integer recursion on the shorter factor,
-memoized per rank.  Inside that recursion a term q^lam sigma^w is one int:
-the engine's index of w in the low bits and the lam_i above them as digits
-in base n(n-1)/2 + 1, which no degree of a product reaches, so a q-shift is
-an int addition that never carries (RingEngine).
+larger, and products follow by a memoized integer recursion on the shorter
+factor w, sigma^w * sigma^z = X_r (sigma^v * sigma^z) + rest * sigma^z, in
+which a term is one int and a q-shift an int addition (RingEngine).
 
 The same recursion with the quantum terms switched off yields the classical
 cup product, which agrees with the q=0 truncation of the quantum product.
@@ -21,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, islice
 from math import factorial
 from operator import add, gt, itemgetter, sub
@@ -225,20 +223,22 @@ def _degree(code: int, n: int) -> DegreeVector:
 class RingEngine:
     """Per-rank product engine: integer transition recursion, memoized.
 
-    sigma^w * sigma^z = sigma^v * (X_r sigma^z) + rest * sigma^z by the
-    transition step of w, recursing on the shorter factor down to the
-    identity.  ``quantum=False`` gives the classical cup-product engine
-    (same recursion with quantum Chevalley moves disabled).
+    With (r, v, rest) the transition step of w, sigma^w = X_r sigma^v + rest,
+    where X_r is the product with sigma^{s_r} - sigma^{s_{r-1}}, and the
+    product is commutative and associative, so sigma^w * sigma^z =
+    X_r (sigma^v * sigma^z) + rest * sigma^z.  _mul expands w, the factor
+    first in (length, one-line) order, into the sub-calls (v, z) and (y, z),
+    y a rest term, each one step down w's transition recursion, which ends;
+    as z stays, a product's memo is about the transition DAG of w against
+    z.  ``quantum=False`` gives the classical cup-product engine.
 
-    Inside the engine a term q^lam sigma^w is one int,
-    (_code(lam) << bits) | index(w): the engine numbers each permutation the
-    first time it meets it, bits = n!.bit_length() holds every index, and
-    _code writes the lam_i as digits in base B = n(n-1)/2 + 1.  A q-shift by
-    mu is then the addition of _code(mu) << bits, and it never carries: a
-    term of a sub-product of sigma^w * sigma^z, before cancellation, has
-    lam' >= 0 and l(w') + 2 sum(lam') = l(w) + l(z) <= n(n-1), so every
-    lam'_i <= n(n-1)/2 < B.  The memo maps the pair of factor indices to a
-    flat (term, coeff, term, coeff, ...) tuple; product() decodes.
+    A term q^lam sigma^w is one int, (_code(lam) << bits) | index(w), with
+    bits = n!.bit_length() and the lam_i as digits in base B = n(n-1)/2 + 1,
+    so a q-shift by mu adds _code(mu) << bits.  It never carries: mu is a
+    positive coroot, X_r raises the degree by 1 = l(w) - l(v) and a rest term
+    q^mu sigma^y has degree l(w), so every intermediate term has lam' >= 0
+    and l(w') + 2 sum(lam') = l(w) + l(z) <= n(n-1): each lam'_i < B.  The
+    memo maps the factor indices to a flat (term, coeff, ...) tuple.
     """
 
     def __init__(self, n: int, quantum: bool = True):
@@ -246,10 +246,11 @@ class RingEngine:
             raise ValueError("rank must be at least 2")
         self.n = n
         self.quantum = quantum
-        self._bits = factorial(n).bit_length()
+        self._bits = bits = factorial(n).bit_length()
         self._index: dict[Permutation, int] = {}
         self._perms: list[Permutation] = []
-        self._order: list[tuple[int, Permutation]] = []  # factor order: length, then w
+        self._order: list[int] = []  # l(w) (n+1)^n + w in base n+1: (length, w) order
+        self._shifts = {ab: _code(_coroot(ab, n)) << bits for ab in rootsys.positive_roots(n)}
         self._moves: dict[int, tuple] = {}  # index * n + r -> X_r on it (_monk)
         self._transitions: dict[int, tuple] = {}  # index -> its transition step (_transition)
         self._memo: dict[int, tuple[int, ...]] = {}  # shorter << bits | longer -> product
@@ -269,7 +270,7 @@ class RingEngine:
         if i is None:
             i = self._index[w] = len(self._perms)
             self._perms.append(w)
-            self._order.append((_length(w), w))
+            self._order.append(reduce(lambda o, x: o * (self.n + 1) + x, w, _length(w)))
         return i
 
     def _monk(self, z: int, r: int) -> tuple[tuple[int, int, int], ...]:
@@ -283,20 +284,14 @@ class RingEngine:
         classical when w(a) < w(b) and no c in (a, b) has w(c) between them,
         quantum (degree gamma^vee) when w(a) > w(b) and every such c does.
         """
-        w, n, bits = self._perms[z], self.n, self._bits
+        w, shifts = self._perms[z], self._shifts
         out = []
         for b, q in _right_edges(w, r):
             if self.quantum or not q:
-                x = list(w)
-                x[r - 1], x[b - 1] = w[b - 1], w[r - 1]
-                shift = _code(_coroot((r, b), n)) << bits if q else 0
-                out.append((1, shift, self._intern(tuple(x))))
+                out.append((1, shifts[r, b] if q else 0, self._intern(_move(w, r, b))))
         for a, q in _left_edges(w, r):
             if self.quantum or not q:
-                x = list(w)
-                x[a - 1], x[r - 1] = w[r - 1], w[a - 1]
-                shift = _code(_coroot((a, r), n)) << bits if q else 0
-                out.append((-1, shift, self._intern(tuple(x))))
+                out.append((-1, shifts[a, r] if q else 0, self._intern(_move(w, a, r))))
         return tuple(out)
 
     def _transition(self, w: int) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
@@ -327,22 +322,27 @@ class RingEngine:
         if w == self._identity:
             got = (z, 1)
         else:
-            step = self._transitions.get(w)
-            if step is None:
-                step = self._transitions[w] = self._transition(w)
-            r, v, rest = step
-            moves = self._moves.get(z * self.n + r)
-            if moves is None:
-                moves = self._moves[z * self.n + r] = self._monk(z, r)
+            if w not in self._transitions:
+                self._transitions[w] = self._transition(w)
+            r, v, rest = self._transitions[w]
+            n, mask, moves = self.n, (1 << self._bits) - 1, self._moves
             out: dict[int, int] = {}
             get = out.get
-            # sigma^v * (X_r sigma^z) and rest * sigma^z: a fixed factor times each term
-            for f, terms in ((v, moves), (z, rest)):
+            it = iter(self._mul(v, z))
+            for t, c in zip(it, it):  # X_r (sigma^v * sigma^z), one term t at a time
+                i = t & mask
+                terms = moves.get(i * n + r)
+                if terms is None:
+                    terms = moves[i * n + r] = self._monk(i, r)
+                t -= i
                 for sign, shift, x in terms:
-                    it = iter(self._mul(f, x))
-                    for t, c in zip(it, it):
-                        t += shift
-                        out[t] = get(t, 0) + sign * c
+                    x += t + shift
+                    out[x] = get(x, 0) + sign * c
+            for sign, shift, y in rest:  # rest * sigma^z
+                it = iter(self._mul(y, z))
+                for t, c in zip(it, it):
+                    t += shift
+                    out[t] = get(t, 0) + sign * c
             got = tuple(chain.from_iterable(filter(itemgetter(1), out.items())))
         self._memo[key] = got
         return got
@@ -368,9 +368,9 @@ def classical_product(u: Permutation, v: Permutation) -> QClass:
 
     A separate engine with the quantum terms off, because it is cheaper than
     the q = 0 part of a quantum product: on a 2-vCPU host (Python 3.11) the
-    30 240 hook products of n = 7 take about 1.2 s at 48 MB peak RSS,
-    against 2.1-2.5 s at 72 MB through the quantum engine, and ``verify
-    ktheory --n 7`` takes 4.2-4.6 s at 52 MB, against 5.3-5.6 s at 75 MB.
+    30 240 hook products of n = 7 take about 0.9-1.0 s at 47 MB peak RSS,
+    against 1.9-2.4 s at 69 MB through the quantum engine, and ``verify
+    ktheory --n 7`` takes 2.7-3.9 s at 53 MB, against 3.7-5.4 s at 74 MB.
     """
     return get_engine(len(u), False).product(u, v)
 

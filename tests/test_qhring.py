@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -117,6 +118,30 @@ def test_commutativity(s4_table):
     for u in perms:
         for v in perms:
             assert s4_table[(u, v)] == s4_table[(v, u)]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_engine_order_is_length_then_one_line(n):
+    # the order key decides which factor _mul expands, which no product
+    # value shows; intern in a scrambled order so the indices do not follow it
+    engine = qhring.RingEngine(n)
+    perms = list(weyl.all_permutations(n))
+    random.Random(n).shuffle(perms)
+    key = {w: engine._order[engine._intern(w)] for w in perms}
+    assert len(set(key.values())) == len(perms)
+    assert sorted(perms, key=key.get) == sorted(perms, key=lambda w: (weyl.length(w), w))
+
+
+def test_n7_products_keep_the_memo_small(monkeypatch):
+    # every sub-product of sigma^w * sigma^z keeps the factor z, so 30 seeded
+    # n = 7 products leave 2 247 memo entries; a recursion that starts a
+    # sub-product for every term of X_r sigma^z leaves 294 417
+    monkeypatch.setattr(qhring, "_engines", functools.lru_cache(maxsize=None)(qhring.RingEngine))
+    rng = random.Random(0)
+    perms = weyl.all_permutations(7)
+    for _ in range(30):
+        qp(rng.choice(perms), rng.choice(perms))
+    assert len(qhring.get_engine(7)._memo) < 10_000
 
 
 def test_associativity_with_divisors(s4_table):

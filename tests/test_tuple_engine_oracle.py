@@ -1,7 +1,10 @@
 """The int-coded product engine against the tuple-coded one it replaced.
 
-Both run the same transition recursion (``tuple_engine_oracle.py``), so any
-difference comes from the int encoding of terms, q-shifts and memo entries.
+The oracle (``tuple_engine_oracle.py``) multiplies sigma^v into every term
+of X_r sigma^z, the engine applies X_r to sigma^v * sigma^z: the two orders
+of the same transition identity, the oracle with tuple terms and its own
+move lists, so any difference is a fault of the engine's recursion order,
+its int encoding of terms and q-shifts, or its move lists.
 """
 import random
 

@@ -4,11 +4,13 @@ This is how ``flagq.qhring.RingEngine`` stored terms before they became ints:
 every term is a (degree tuple, permutation tuple, coefficient) triple, every
 q-shift builds a new degree tuple, the memo is keyed by the pair of
 permutations, and each sub-product is added in with the zeros deleted as
-they appear.  The recursion is the same integer transition recursion, but
-it reads the length-based Monk lists and transition steps of
-``moves_oracle.py``, which share no code with ``flagq.qhring``: it checks
-the int encoding of terms, shifts and memo entries, and the engine's own
-move lists and transition steps (``RingEngine._monk``, ``_transition``).
+they appear.  It also keeps the engine's earlier recursion order,
+sigma^w * sigma^z = sigma^v * (X_r sigma^z) + rest * sigma^z, where the
+engine now applies X_r to sigma^v * sigma^z, and it reads the length-based
+Monk lists and transition steps of ``moves_oracle.py``, which share no code
+with ``flagq.qhring``: it checks the engine's recursion order, its int
+encoding of terms, shifts and memo entries, and its own move lists and
+transition steps (``RingEngine._monk``, ``_transition``).
 """
 from __future__ import annotations
 
