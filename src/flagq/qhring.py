@@ -8,7 +8,7 @@ the quantum Chevalley operators of the divisors s_i, and the divisor s_{n-1}
 in H* and in K, whose powers are the hook products.  The
 Lascoux-Schutzenberger transition step writes every sigma^w != sigma^id as
 X_r sigma^v plus classes that are shorter, or as long and lexicographically
-larger, and products follow by a memoized integer recursion on the shorter
+larger, and products follow by a memoized integer recursion on the expanded
 factor w, sigma^w * sigma^z = X_r (sigma^v * sigma^z) + rest * sigma^z, in
 which a term is one int and a q-shift an int addition (RingEngine).
 
@@ -226,19 +226,22 @@ class RingEngine:
     With (r, v, rest) the transition step of w, sigma^w = X_r sigma^v + rest,
     where X_r is the product with sigma^{s_r} - sigma^{s_{r-1}}, and the
     product is commutative and associative, so sigma^w * sigma^z =
-    X_r (sigma^v * sigma^z) + rest * sigma^z.  _mul expands w, the factor
-    first in (length, one-line) order, into the sub-calls (v, z) and (y, z),
-    y a rest term, each one step down w's transition recursion, which ends;
-    as z stays, a product's memo is about the transition DAG of w against
-    z.  ``quantum=False`` gives the classical cup-product engine.
+    X_r (sigma^v * sigma^z) + rest * sigma^z.  _mul expands w into the
+    sub-calls (v, z) and (y, z), y a rest term, each one step down w's
+    transition recursion, which ends; every sub-call keeps z, so the memo is
+    keyed by the kept factor first, _memo[z][w], and _memo[z] holds at most
+    one entry per permutation.  ``product`` expands the factor first in
+    (length, one-line) order; ``products_with`` expands each u of a sweep
+    against one kept z and drops _memo[z] when the sweep ends.
+    ``quantum=False`` gives the classical cup-product engine.
 
     A term q^lam sigma^w is one int, (_code(lam) << bits) | index(w), with
     bits = n!.bit_length() and the lam_i as digits in base B = n(n-1)/2 + 1,
     so a q-shift by mu adds _code(mu) << bits.  It never carries: mu is a
     positive coroot, X_r raises the degree by 1 = l(w) - l(v) and a rest term
     q^mu sigma^y has degree l(w), so every intermediate term has lam' >= 0
-    and l(w') + 2 sum(lam') = l(w) + l(z) <= n(n-1): each lam'_i < B.  The
-    memo maps the factor indices to a flat (term, coeff, ...) tuple.
+    and l(w') + 2 sum(lam') = l(w) + l(z) <= n(n-1): each lam'_i < B.  A
+    memo entry is a flat (term, coeff, ...) tuple.
     """
 
     def __init__(self, n: int, quantum: bool = True):
@@ -253,21 +256,38 @@ class RingEngine:
         self._shifts = {ab: _code(_coroot(ab, n)) << bits for ab in rootsys.positive_roots(n)}
         self._moves: dict[int, tuple] = {}  # index * n + r -> X_r on it (_monk)
         self._transitions: dict[int, tuple] = {}  # index -> its transition step (_transition)
-        self._memo: dict[int, tuple[int, ...]] = {}  # shorter << bits | longer -> product
+        self._memo: dict[int, dict[int, tuple[int, ...]]] = {}  # kept z -> w -> product
         self._identity = self._intern(identity(n))
 
     def product(self, u: Permutation, v: Permutation) -> QClass:
         """sigma^u * sigma^v as a fresh dict."""
-        if len(u) != len(v) or len(u) != self.n:
-            raise ValueError("rank mismatch")
+        w, z = self._intern(u), self._intern(v)
+        if self._order[w] > self._order[z]:
+            w, z = z, w
+        return self._decode(self._mul(w, z, self._memo.setdefault(z, {})))
+
+    def products_with(self, z: Permutation, us: Iterable[Permutation]) -> Iterator[QClass]:
+        """Yield sigma^u * sigma^z for each u in us, all from _memo[z], dropped at the end."""
+        z = self._intern(z)
+        memo = self._memo.setdefault(z, {})
+        try:
+            for u in us:
+                yield self._decode(self._mul(self._intern(u), z, memo))
+        finally:
+            self._memo.pop(z, None)
+
+    def _decode(self, terms: tuple[int, ...]) -> QClass:
+        """A flat (term, coeff, ...) tuple as a fresh QClass."""
         bits, mask, perms = self._bits, (1 << self._bits) - 1, self._perms
-        terms = iter(self._mul(self._intern(u), self._intern(v)))
-        return {(_degree(t >> bits, self.n), perms[t & mask]): c for t, c in zip(terms, terms)}
+        it = iter(terms)
+        return {(_degree(t >> bits, self.n), perms[t & mask]): c for t, c in zip(it, it)}
 
     def _intern(self, w: Permutation) -> int:
-        """w's index, handed out the first time the engine meets w."""
+        """w's index, handed out the first time the engine meets w, which must have rank n."""
         i = self._index.get(w)
         if i is None:
+            if len(w) != self.n:
+                raise ValueError("rank mismatch")
             i = self._index[w] = len(self._perms)
             self._perms.append(w)
             self._order.append(reduce(lambda o, x: o * (self.n + 1) + x, w, _length(w)))
@@ -311,12 +331,9 @@ class RingEngine:
         rest = tuple((-sign, shift, y) for sign, shift, y in self._monk(v, r) if shift or y != w)
         return r, v, rest
 
-    def _mul(self, w: int, z: int) -> tuple[int, ...]:
-        """sigma^w * sigma^z as a flat (term, coeff, ...) tuple, no coeff zero."""
-        if self._order[w] > self._order[z]:
-            w, z = z, w
-        key = w << self._bits | z
-        got = self._memo.get(key)
+    def _mul(self, w: int, z: int, memo: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+        """sigma^w * sigma^z as a flat (term, coeff, ...) tuple, no coeff zero; memo is _memo[z]."""
+        got = memo.get(w)
         if got is not None:
             return got
         if w == self._identity:
@@ -328,7 +345,7 @@ class RingEngine:
             n, mask, moves = self.n, (1 << self._bits) - 1, self._moves
             out: dict[int, int] = {}
             get = out.get
-            it = iter(self._mul(v, z))
+            it = iter(self._mul(v, z, memo))
             for t, c in zip(it, it):  # X_r (sigma^v * sigma^z), one term t at a time
                 i = t & mask
                 terms = moves.get(i * n + r)
@@ -339,12 +356,12 @@ class RingEngine:
                     x += t + shift
                     out[x] = get(x, 0) + sign * c
             for sign, shift, y in rest:  # rest * sigma^z
-                it = iter(self._mul(y, z))
+                it = iter(self._mul(y, z, memo))
                 for t, c in zip(it, it):
                     t += shift
                     out[t] = get(t, 0) + sign * c
             got = tuple(chain.from_iterable(filter(itemgetter(1), out.items())))
-        self._memo[key] = got
+        memo[w] = got
         return got
 
 
@@ -373,6 +390,21 @@ def classical_product(u: Permutation, v: Permutation) -> QClass:
     ktheory --n 7`` takes 2.7-3.9 s at 53 MB, against 3.7-5.4 s at 74 MB.
     """
     return get_engine(len(u), False).product(u, v)
+
+
+def products_with(
+    z: Permutation, us: Iterable[Permutation], quantum: bool = True
+) -> Iterator[QClass]:
+    """sigma^u * sigma^z for each u in us, from one memo of z (RingEngine.products_with).
+
+    Quantum products are checked as in quantum_product; ``quantum=False`` gives cup products.
+    """
+    us = list(us)
+    products = get_engine(len(z), quantum).products_with(z, us)
+    for out, u in zip(products, us):  # products first: its end drops the memo
+        if quantum:
+            check_product_invariants(out, _length(u) + _length(z))
+        yield out
 
 
 def structure_constant(
@@ -452,31 +484,33 @@ def verify_filtration(n: int) -> list[VerifyReport]:
     that passes every alpha_i counts for its whole orbit; one that fails has
     every pair of its orbit checked as the full pair sweep does: one product
     per unordered pair, recorded as (u, v) and then (v, u), u not before v
-    in all_permutations (lexicographic) order, and in that order.
+    in all_permutations (lexicographic) order, and in that order.  The pairs
+    are multiplied grouped by their later factor in the engine's (length,
+    one-line) order, one products_with sweep each.
     """
     reports = [VerifyReport("filtration", n) for _ in range(1, n)]
     perms = weyl.all_permutations(n)
     descents = {u: _grades(_zero(n), u) for u in perms}
 
-    def check(u: Permutation, v: Permutation) -> list[list]:
-        """The terms of sigma^u * sigma^v over the alpha_i bound, for each i."""
+    def check(u: Permutation, v: Permutation, product: QClass) -> list[list]:
+        """The terms of the product sigma^u * sigma^v over the alpha_i bound, for each i."""
         bounds = list(map(add, descents[u], descents[v]))
-        graded = ((key, _grades(*key)) for key in quantum_product(u, v))
+        graded = ((key, _grades(*key)) for key in product)
         over = [(key, grades) for key, grades in graded if any(map(gt, grades, bounds))]
         return [[key for key, grades in over if grades[i] > b] for i, b in enumerate(bounds)]
 
     expanded = []
-    heads = [u for u in perms if u[-1] == n]
-    for k, u in enumerate(heads):
-        for v in heads[: k + 1]:
-            if not any(check(u, v)):
+    heads = sorted((u for u in perms if u[-1] == n), key=lambda u: (_length(u), u))
+    for k, z in enumerate(heads):
+        for u, product in zip(heads, products_with(z, heads[: k + 1])):
+            if not any(check(u, z, product)):
                 for report in reports:
-                    report.record(True, count=(1 if u == v else 2) * n * n)
+                    report.record(True, count=(1 if u == z else 2) * n * n)
                 continue
-            xs, ys = ([weyl.u_up(w, a) for a in range(n)] for w in (u, v))
+            xs, ys = ([weyl.u_up(w, a) for a in range(n)] for w in (u, z))
             expanded += {p for x in xs for y in ys for p in ((x, y), (y, x)) if p[0] >= p[1]}
     for u, v in sorted(expanded):
-        for report, bad in zip(reports, check(u, v)):
+        for report, bad in zip(reports, check(u, v, quantum_product(u, v))):
             report.record(not bad, (u, v, bad) if bad else None)
             if v != u:
                 report.record(not bad, (v, u, bad) if bad else None)

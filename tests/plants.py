@@ -1,0 +1,34 @@
+"""Planted product faults at both seams the sweeps multiply through.
+
+A sweep over one kept factor z takes its products from
+``qhring.products_with(z, us)``; single products come from
+``qhring.quantum_product`` or ``qhring.classical_product``.  ``plant``
+patches both, so that a planted fault reaches a sweep and the oracle it is
+compared with alike.
+"""
+from flagq import qhring
+
+
+def plant(monkeypatch, wrong, quantum=True):
+    """Replace each product sigma^u * sigma^z of one engine by wrong(u, z, product).
+
+    ``quantum`` picks the engine: quantum_product and the quantum sweeps of
+    products_with, or classical_product and its classical sweeps.
+    """
+    planted_engine = quantum
+    name = "quantum_product" if quantum else "classical_product"
+    single = getattr(qhring, name)
+    sweep = qhring.products_with
+
+    def planted_single(u, z):
+        return wrong(u, z, single(u, z))
+
+    def planted_sweep(z, us, quantum=True):
+        us = list(us)
+        products = sweep(z, us, quantum)
+        if quantum != planted_engine:
+            return products
+        return (wrong(u, z, out) for out, u in zip(products, us))
+
+    monkeypatch.setattr(qhring, name, planted_single)
+    monkeypatch.setattr(qhring, "products_with", planted_sweep)

@@ -1,6 +1,7 @@
 import pytest
 
 import k_oracle as oracle
+import plants
 from flagq import ktheory, qhring, rootsys, weyl
 
 
@@ -151,13 +152,12 @@ def test_k_verify_counterexamples_in_m_then_v_order(monkeypatch):
     n = 4
     perms = weyl.all_permutations(n)
     early, late = (3, perms[2]), (1, perms[20])
-    product = qhring.classical_product
 
-    def planted(hook, v):
+    def planted(v, hook, out):
         wrong = (weyl.length(hook), v) in (early, late)
-        return {} if wrong else product(hook, v)
+        return {} if wrong else out
 
-    monkeypatch.setattr(qhring, "classical_product", planted)
+    plants.plant(monkeypatch, planted, quantum=False)
     r = ktheory.k_verify(n)
     assert r.total - r.passed == 2
     assert [c[:2] for c in r.counterexamples] == [late, early]

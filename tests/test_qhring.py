@@ -134,14 +134,54 @@ def test_engine_order_is_length_then_one_line(n):
 
 def test_n7_products_keep_the_memo_small(monkeypatch):
     # every sub-product of sigma^w * sigma^z keeps the factor z, so 30 seeded
-    # n = 7 products leave 2 247 memo entries; a recursion that starts a
-    # sub-product for every term of X_r sigma^z leaves 294 417
+    # n = 7 products leave 2 247 memo entries under 30 kept factors; a
+    # recursion that starts a sub-product for every term of X_r sigma^z
+    # leaves 294 417
     monkeypatch.setattr(qhring, "_engines", functools.lru_cache(maxsize=None)(qhring.RingEngine))
     rng = random.Random(0)
     perms = weyl.all_permutations(7)
     for _ in range(30):
         qp(rng.choice(perms), rng.choice(perms))
-    assert len(qhring.get_engine(7)._memo) < 10_000
+    memo = qhring.get_engine(7)._memo
+    assert len(memo) <= 30
+    assert sum(map(len, memo.values())) < 10_000
+
+
+def kept_factors(n):
+    """Every hook of S_n, then a seeded sample of six kept factors z (all of S_2 and S_3)."""
+    perms = weyl.all_permutations(n)
+    sample = random.Random(n).sample(perms, min(6, len(perms)))
+    return [weyl.hook(n, m) for m in range(1, n)] + sample
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("quantum", [True, False])
+def test_products_with_matches_single_products(n, quantum, monkeypatch):
+    # a sweep expands every u against the kept z, whichever comes first in
+    # (length, one-line) order, and drops z's memo when it ends
+    monkeypatch.setattr(qhring, "_engines", functools.lru_cache(maxsize=None)(qhring.RingEngine))
+    single = qhring.quantum_product if quantum else qhring.classical_product
+    perms = weyl.all_permutations(n)
+    engine = qhring.get_engine(n, quantum)
+    swept = {z: list(qhring.products_with(z, perms, quantum)) for z in kept_factors(n)}
+    assert engine._memo == {}
+    for z, products in swept.items():
+        assert products == [single(u, z) for u in perms], z
+
+
+def test_products_with_checks_product_invariants(monkeypatch):
+    # the quantum sweep enforces the invariants quantum_product does
+    n = 3
+    mul = qhring.RingEngine._mul
+
+    def negated(self, w, z, memo):
+        return tuple(-x if i % 2 else x for i, x in enumerate(mul(self, w, z, memo)))
+
+    monkeypatch.setattr(qhring, "_engines", functools.lru_cache(maxsize=None)(qhring.RingEngine))
+    monkeypatch.setattr(qhring.RingEngine, "_mul", negated)
+    with pytest.raises(AssertionError, match="negative structure constant"):
+        list(qhring.products_with(weyl.hook(n, 1), weyl.all_permutations(n)))
+    assert list(qhring.products_with(weyl.hook(n, 1), weyl.all_permutations(n), quantum=False))
 
 
 def test_associativity_with_divisors(s4_table):

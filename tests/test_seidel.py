@@ -1,7 +1,9 @@
+import functools
 import random
 
 import pytest
 
+import plants
 from flagq import ktheory, polynomials, qhring, rootsys, seidel, weyl
 
 
@@ -317,16 +319,51 @@ def test_explore_equal_is_quantum_product_equals_cup_product(n):
                 assert r["equal"] is expected, (i, j, u)
 
 
+def test_seidel_sweep_keeps_one_bounded_memo_and_drops_it(monkeypatch):
+    # verify seidel expands every u against the kept sigma^{s_1...s_{n-1}}: its
+    # memo holds at most one entry per permutation, and is gone afterwards
+    n = 5
+    monkeypatch.setattr(qhring, "_engines", functools.lru_cache(maxsize=None)(qhring.RingEngine))
+    engine = qhring.get_engine(n)
+    hook = engine._intern(weyl.hook(n, n - 1))
+    sweep = qhring.products_with
+    sizes = []
+
+    def observed(z, us, quantum=True):
+        for out in sweep(z, us, quantum):
+            sizes.append(len(engine._memo[hook]))
+            yield out
+
+    monkeypatch.setattr(qhring, "products_with", observed)
+    assert seidel.verify_seidel(n).ok
+    assert len(sizes) == 120 and max(sizes) <= 120
+    assert engine._memo == {}
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda n: seidel.verify_support(n),
+    lambda n: seidel.verify_pieri(n, engine_check=True),
+    lambda n: seidel.explore_classical_equality(n, 2, 3),
+    lambda n: qhring.verify_filtration(n),
+    lambda n: ktheory.k_verify(n),
+], ids=["support", "pieri", "explore", "filtration", "ktheory"])
+def test_engine_sweeps_leave_no_memo(sweep, monkeypatch):
+    # the Pieri and K-theory sweeps advance one products_with per hook
+    # together and stop before the sweeps end: closing them drops the memos
+    n = 4
+    monkeypatch.setattr(qhring, "_engines", functools.lru_cache(maxsize=None)(qhring.RingEngine))
+    sweep(n)
+    assert qhring.get_engine(n, True)._memo == qhring.get_engine(n, False)._memo == {}
+
+
 def test_verify_support_flags_planted_terms(monkeypatch):
     # a non-interval degree where u(n) != n, and any q-term where u(n) = n,
     # each fail their record with the reason the sweep names
     n = 4
-    product = qhring.quantum_product
     non_interval_at = (2, (2, 1, 4, 3))
     q_term_at = (1, (2, 1, 3, 4))
 
-    def planted(hook, u):
-        out = dict(product(hook, u))
+    def planted(u, hook, out):
         m = weyl.length(hook)
         if (m, u) == non_interval_at:
             out[((1, 0, 1), u)] = 1
@@ -334,7 +371,7 @@ def test_verify_support_flags_planted_terms(monkeypatch):
             out[((0, 0, 1), u)] = 1
         return out
 
-    monkeypatch.setattr(qhring, "quantum_product", planted)
+    plants.plant(monkeypatch, planted)
     r = seidel.verify_support(n)
     assert (r.total, r.passed) == (72, 70)
     assert r.counterexamples == [

@@ -54,7 +54,8 @@ def test_engine_matches_tuple_engine_short_factor_large_n(n):
         rng.shuffle(v)
         pairs.append((weyl.from_word([rng.randrange(1, n), rng.randrange(1, n)], n), tuple(v)))
     engine = assert_engines_agree(n, True, pairs)
-    widest = max(t.bit_length() for terms in engine._memo.values() for t in terms[::2])
+    terms = [t for memo in engine._memo.values() for got in memo.values() for t in got[::2]]
+    widest = max(t.bit_length() for t in terms)
     assert widest > 64
 
 
