@@ -178,6 +178,11 @@ def cmd_product(args) -> int:
             if cached.n != n:
                 raise UsageError(f"cache table: {path} holds an n = {cached.n} table")
             cls = cached.get(u, v)
+            if cls is not None:
+                try:
+                    qhring.check_product_invariants(cls, weyl.length(u) + weyl.length(v))
+                except AssertionError as e:
+                    raise UsageError(f"cache table: {path}: {e}") from None
     if cls is None:
         cls = qhring.quantum_product(u, v)
     emit({"n": n, "terms": class_to_json(cls)}, render_product, args.format)

@@ -10,7 +10,8 @@ Lascoux-Schutzenberger transition step writes every sigma^w != sigma^id as
 X_r sigma^v plus classes that are shorter, or as long and lexicographically
 larger, and products follow by a memoized integer recursion on the expanded
 factor w, sigma^w * sigma^z = X_r (sigma^v * sigma^z) + rest * sigma^z, in
-which a term is one int and a q-shift an int addition (RingEngine).
+which a term is one int and a q-shift an int addition (RingEngine).  A memo
+lives for one product or one sweep; every product is checked as it is decoded.
 
 The same recursion with the quantum terms switched off yields the classical
 cup product, which agrees with the q=0 truncation of the quantum product.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain, islice
 from math import factorial
 from operator import add, gt, itemgetter, sub
@@ -228,11 +229,14 @@ class RingEngine:
     product is commutative and associative, so sigma^w * sigma^z =
     X_r (sigma^v * sigma^z) + rest * sigma^z.  _mul expands w into the
     sub-calls (v, z) and (y, z), y a rest term, each one step down w's
-    transition recursion, which ends; every sub-call keeps z, so the memo is
-    keyed by the kept factor first, _memo[z][w], and _memo[z] holds at most
-    one entry per permutation.  ``product`` expands the factor first in
-    (length, one-line) order; ``products_with`` expands each u of a sweep
-    against one kept z and drops _memo[z] when the sweep ends.
+    transition recursion, which ends; every sub-call keeps z, so a memo of
+    one kept z, keyed by w, holds at most one entry per permutation.  A memo
+    lives for one call: ``product`` gives _mul a fresh one and expands the
+    factor first in (length, one-line) order, and ``products_with`` expands
+    each u of a sweep against one kept z from a memo that is freed with the
+    sweep.  So the engine keeps only its interning and its move and
+    transition tables, at most n! n entries, and every product it hands out
+    is checked where it is decoded (_decode, check_product_invariants).
     ``quantum=False`` gives the classical cup-product engine.
 
     A term q^lam sigma^w is one int, (_code(lam) << bits) | index(w), with
@@ -252,35 +256,31 @@ class RingEngine:
         self._bits = bits = factorial(n).bit_length()
         self._index: dict[Permutation, int] = {}
         self._perms: list[Permutation] = []
-        self._order: list[int] = []  # l(w) (n+1)^n + w in base n+1: (length, w) order
         self._shifts = {ab: _code(_coroot(ab, n)) << bits for ab in rootsys.positive_roots(n)}
         self._moves: dict[int, tuple] = {}  # index * n + r -> X_r on it (_monk)
         self._transitions: dict[int, tuple] = {}  # index -> its transition step (_transition)
-        self._memo: dict[int, dict[int, tuple[int, ...]]] = {}  # kept z -> w -> product
         self._identity = self._intern(identity(n))
 
     def product(self, u: Permutation, v: Permutation) -> QClass:
-        """sigma^u * sigma^v as a fresh dict."""
-        w, z = self._intern(u), self._intern(v)
-        if self._order[w] > self._order[z]:
-            w, z = z, w
-        return self._decode(self._mul(w, z, self._memo.setdefault(z, {})))
+        """sigma^u * sigma^v as a fresh QClass, from a memo of its own."""
+        if (_length(v), v) < (_length(u), u):
+            u, v = v, u
+        terms = self._mul(self._intern(u), self._intern(v), {})
+        return self._decode(terms, _length(u) + _length(v))
 
     def products_with(self, z: Permutation, us: Iterable[Permutation]) -> Iterator[QClass]:
-        """Yield sigma^u * sigma^z for each u in us, all from _memo[z], dropped at the end."""
-        z = self._intern(z)
-        memo = self._memo.setdefault(z, {})
-        try:
-            for u in us:
-                yield self._decode(self._mul(self._intern(u), z, memo))
-        finally:
-            self._memo.pop(z, None)
+        """Yield sigma^u * sigma^z for each u in us, all from one memo, freed with the sweep."""
+        memo, degree, z = {}, _length(z), self._intern(z)
+        for u in us:
+            yield self._decode(self._mul(self._intern(u), z, memo), _length(u) + degree)
 
-    def _decode(self, terms: tuple[int, ...]) -> QClass:
-        """A flat (term, coeff, ...) tuple as a fresh QClass."""
+    def _decode(self, terms: tuple[int, ...], degree: int) -> QClass:
+        """A product's flat (term, coeff, ...) tuple as a fresh QClass, checked at ``degree``."""
         bits, mask, perms = self._bits, (1 << self._bits) - 1, self._perms
         it = iter(terms)
-        return {(_degree(t >> bits, self.n), perms[t & mask]): c for t, c in zip(it, it)}
+        out = {(_degree(t >> bits, self.n), perms[t & mask]): c for t, c in zip(it, it)}
+        check_product_invariants(out, degree)
+        return out
 
     def _intern(self, w: Permutation) -> int:
         """w's index, handed out the first time the engine meets w, which must have rank n."""
@@ -290,7 +290,6 @@ class RingEngine:
                 raise ValueError("rank mismatch")
             i = self._index[w] = len(self._perms)
             self._perms.append(w)
-            self._order.append(reduce(lambda o, x: o * (self.n + 1) + x, w, _length(w)))
         return i
 
     def _monk(self, z: int, r: int) -> tuple[tuple[int, int, int], ...]:
@@ -332,7 +331,7 @@ class RingEngine:
         return r, v, rest
 
     def _mul(self, w: int, z: int, memo: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-        """sigma^w * sigma^z as a flat (term, coeff, ...) tuple, no coeff zero; memo is _memo[z]."""
+        """sigma^w * sigma^z as a flat (term, coeff, ...) tuple, no coeff zero; memo is z's."""
         got = memo.get(w)
         if got is not None:
             return got
@@ -374,10 +373,8 @@ def get_engine(n: int, quantum: bool = True) -> RingEngine:
 
 
 def quantum_product(u: Permutation, v: Permutation) -> QClass:
-    """sigma^u * sigma^v in QH*(Fl_n), with product invariants enforced."""
-    out = get_engine(len(u), True).product(u, v)
-    check_product_invariants(out, _length(u) + _length(v))
-    return out
+    """sigma^u * sigma^v in QH*(Fl_n); the engine checks it (RingEngine._decode)."""
+    return get_engine(len(u), True).product(u, v)
 
 
 def classical_product(u: Permutation, v: Permutation) -> QClass:
@@ -395,16 +392,8 @@ def classical_product(u: Permutation, v: Permutation) -> QClass:
 def products_with(
     z: Permutation, us: Iterable[Permutation], quantum: bool = True
 ) -> Iterator[QClass]:
-    """sigma^u * sigma^z for each u in us, from one memo of z (RingEngine.products_with).
-
-    Quantum products are checked as in quantum_product; ``quantum=False`` gives cup products.
-    """
-    us = list(us)
-    products = get_engine(len(z), quantum).products_with(z, us)
-    for out, u in zip(products, us):  # products first: its end drops the memo
-        if quantum:
-            check_product_invariants(out, _length(u) + _length(z))
-        yield out
+    """sigma^u * sigma^z for each u in us, from one memo (RingEngine.products_with)."""
+    return get_engine(len(z), quantum).products_with(z, us)
 
 
 def structure_constant(
@@ -445,7 +434,7 @@ def _grades(lam: DegreeVector, w: Permutation) -> list[int]:
 
     The i-th number decides every alpha_i-grade test of a term q_lam sigma^w
     of sigma^u * sigma^v.  Both grade pairs sum to l(u) + l(v) by the degree
-    axiom, which quantum_product enforces through check_product_invariants,
+    axiom, which the engine enforces on every product (check_product_invariants),
     so the lexicographic comparison of gr_alpha(i, lam, w) with
     gr_alpha(i, 0, u) + gr_alpha(i, 0, v) is the comparison of this component
     with sgn_alpha(u, i) + sgn_alpha(v, i).  Its excess over that bound is

@@ -23,8 +23,8 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import rootsys, weyl
-from .qhring import QClass, get_engine
+from . import qhring, rootsys, weyl
+from .qhring import QClass
 from .weyl import Permutation
 
 FORMAT_VERSION = 1
@@ -129,11 +129,11 @@ def table_path(cache_dir: str | Path, n: int) -> Path:
 
 
 def build_table(n: int) -> StructureTable:
-    """Full quantum product table over S_n pairs (u <= v in one-line order)."""
+    """Full quantum product table over S_n pairs, one product per unordered pair,
+    grouped by the later factor in (length, one-line) order: one products_with sweep each."""
     table = StructureTable(n)
-    engine = get_engine(n, True)
-    perms = weyl.all_permutations(n)
-    for i, u in enumerate(perms):
-        for v in perms[i:]:
-            table.put(u, v, engine.product(u, v))
+    perms = sorted(weyl.all_permutations(n), key=lambda u: (weyl.length(u), u))
+    for k, z in enumerate(perms):
+        for u, product in zip(perms, qhring.products_with(z, perms[: k + 1])):
+            table.put(u, z, product)
     return table

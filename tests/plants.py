@@ -4,7 +4,8 @@ A sweep over one kept factor z takes its products from
 ``qhring.products_with(z, us)``; single products come from
 ``qhring.quantum_product`` or ``qhring.classical_product``.  ``plant``
 patches both, so that a planted fault reaches a sweep and the oracle it is
-compared with alike.
+compared with alike.  ``negate_engine`` plants a fault below both, inside
+the engine, where its own check must catch it.
 """
 from flagq import qhring
 
@@ -32,3 +33,13 @@ def plant(monkeypatch, wrong, quantum=True):
 
     monkeypatch.setattr(qhring, name, planted_single)
     monkeypatch.setattr(qhring, "products_with", planted_sweep)
+
+
+def negate_engine(monkeypatch):
+    """Negate every coefficient RingEngine._mul returns, in both engines."""
+    mul = qhring.RingEngine._mul
+
+    def negated(self, w, z, memo):
+        return tuple(-x if i % 2 else x for i, x in enumerate(mul(self, w, z, memo)))
+
+    monkeypatch.setattr(qhring.RingEngine, "_mul", negated)

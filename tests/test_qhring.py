@@ -1,10 +1,10 @@
-import functools
 import itertools
 import random
 
 import pytest
 
 import filtration_oracle
+import plants
 from flagq import polynomials, qhring, rootsys, weyl
 
 
@@ -89,7 +89,7 @@ def test_divisor_power_rejects_hook_size():
 
 
 def test_get_engine_is_one_engine_per_rank_and_kind():
-    # every call form shares one engine, so products share one memo
+    # every call form shares one engine, so products share its interning and move tables
     engine = qhring.get_engine(4)
     assert qhring.get_engine(4, True) is engine
     assert qhring.get_engine(4, quantum=True) is engine
@@ -121,30 +121,46 @@ def test_commutativity(s4_table):
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-def test_engine_order_is_length_then_one_line(n):
-    # the order key decides which factor _mul expands, which no product
-    # value shows; intern in a scrambled order so the indices do not follow it
+def test_engine_order_is_length_then_one_line(n, monkeypatch):
+    # product expands the factor first in (length, one-line) order, which no
+    # product value shows: the first _mul call of a product names it.  Intern
+    # in a scrambled order so the indices do not follow it, and take pairs of
+    # equal length too, where one-line order decides
     engine = qhring.RingEngine(n)
     perms = list(weyl.all_permutations(n))
     random.Random(n).shuffle(perms)
-    key = {w: engine._order[engine._intern(w)] for w in perms}
-    assert len(set(key.values())) == len(perms)
-    assert sorted(perms, key=key.get) == sorted(perms, key=lambda w: (weyl.length(w), w))
+    for w in perms:
+        engine._intern(w)
+    calls = []
+    mul = qhring.RingEngine._mul
+
+    def observed(self, w, z, memo):
+        calls.append((self._perms[w], self._perms[z]))
+        return mul(self, w, z, memo)
+
+    monkeypatch.setattr(qhring.RingEngine, "_mul", observed)
+    rng = random.Random(n)
+    pairs = [(rng.choice(perms), rng.choice(perms)) for _ in range(40)]
+    pairs += [(u, v) for u, v in zip(perms, perms[1:]) if weyl.length(u) == weyl.length(v)][:40]
+    for u, v in pairs:
+        calls.clear()
+        engine.product(u, v)
+        first = min(u, v, key=lambda w: (weyl.length(w), w))
+        assert calls[0] == (first, v if first == u else u), (u, v)
 
 
-def test_n7_products_keep_the_memo_small(monkeypatch):
+def test_n7_products_keep_the_memo_small(memos):
     # every sub-product of sigma^w * sigma^z keeps the factor z, so 30 seeded
-    # n = 7 products leave 2 247 memo entries under 30 kept factors; a
-    # recursion that starts a sub-product for every term of X_r sigma^z
-    # leaves 294 417
-    monkeypatch.setattr(qhring, "_engines", functools.lru_cache(maxsize=None)(qhring.RingEngine))
+    # n = 7 products fill 30 memos of 2 247 entries in all; a recursion
+    # that starts a sub-product for every term of X_r sigma^z fills 294 417.
+    # No memo outlives its product
     rng = random.Random(0)
     perms = weyl.all_permutations(7)
     for _ in range(30):
         qp(rng.choice(perms), rng.choice(perms))
-    memo = qhring.get_engine(7)._memo
-    assert len(memo) <= 30
-    assert sum(map(len, memo.values())) < 10_000
+    assert len(memos) == 30
+    assert sum(map(len, memos.values())) < 10_000
+    assert memos.held_elsewhere() == []
 
 
 def kept_factors(n):
@@ -156,32 +172,30 @@ def kept_factors(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("quantum", [True, False])
-def test_products_with_matches_single_products(n, quantum, monkeypatch):
+def test_products_with_matches_single_products(n, quantum, memos):
     # a sweep expands every u against the kept z, whichever comes first in
-    # (length, one-line) order, and drops z's memo when it ends
-    monkeypatch.setattr(qhring, "_engines", functools.lru_cache(maxsize=None)(qhring.RingEngine))
+    # (length, one-line) order, from one memo that is freed when it ends
     single = qhring.quantum_product if quantum else qhring.classical_product
     perms = weyl.all_permutations(n)
-    engine = qhring.get_engine(n, quantum)
-    swept = {z: list(qhring.products_with(z, perms, quantum)) for z in kept_factors(n)}
-    assert engine._memo == {}
+    factors = kept_factors(n)
+    swept = {z: list(qhring.products_with(z, perms, quantum)) for z in factors}
+    assert len(memos) == len(factors)
+    assert memos.held_elsewhere() == []
     for z, products in swept.items():
         assert products == [single(u, z) for u in perms], z
 
 
 def test_products_with_checks_product_invariants(monkeypatch):
-    # the quantum sweep enforces the invariants quantum_product does
+    # every product either engine hands out, single or swept, is checked where
+    # the engine decodes it
     n = 3
-    mul = qhring.RingEngine._mul
-
-    def negated(self, w, z, memo):
-        return tuple(-x if i % 2 else x for i, x in enumerate(mul(self, w, z, memo)))
-
-    monkeypatch.setattr(qhring, "_engines", functools.lru_cache(maxsize=None)(qhring.RingEngine))
-    monkeypatch.setattr(qhring.RingEngine, "_mul", negated)
-    with pytest.raises(AssertionError, match="negative structure constant"):
-        list(qhring.products_with(weyl.hook(n, 1), weyl.all_permutations(n)))
-    assert list(qhring.products_with(weyl.hook(n, 1), weyl.all_permutations(n), quantum=False))
+    plants.negate_engine(monkeypatch)
+    for quantum in (True, False):
+        engine = qhring.get_engine(n, quantum)
+        with pytest.raises(AssertionError, match="negative structure constant"):
+            engine.product(weyl.identity(n), weyl.hook(n, 1))
+        with pytest.raises(AssertionError, match="negative structure constant"):
+            list(qhring.products_with(weyl.hook(n, 1), weyl.all_permutations(n), quantum))
 
 
 def test_associativity_with_divisors(s4_table):

@@ -1,4 +1,3 @@
-import functools
 import random
 
 import pytest
@@ -319,25 +318,16 @@ def test_explore_equal_is_quantum_product_equals_cup_product(n):
                 assert r["equal"] is expected, (i, j, u)
 
 
-def test_seidel_sweep_keeps_one_bounded_memo_and_drops_it(monkeypatch):
-    # verify seidel expands every u against the kept sigma^{s_1...s_{n-1}}: its
-    # memo holds at most one entry per permutation, and is gone afterwards
+def test_seidel_sweep_keeps_one_bounded_memo_and_drops_it(memos):
+    # verify seidel expands every u against the kept sigma^{s_1...s_{n-1}}
+    # from one memo, keyed by u, so it holds at most one entry per
+    # permutation (a memo only grows: its last size is its peak), and it is
+    # freed with the sweep
     n = 5
-    monkeypatch.setattr(qhring, "_engines", functools.lru_cache(maxsize=None)(qhring.RingEngine))
-    engine = qhring.get_engine(n)
-    hook = engine._intern(weyl.hook(n, n - 1))
-    sweep = qhring.products_with
-    sizes = []
-
-    def observed(z, us, quantum=True):
-        for out in sweep(z, us, quantum):
-            sizes.append(len(engine._memo[hook]))
-            yield out
-
-    monkeypatch.setattr(qhring, "products_with", observed)
     assert seidel.verify_seidel(n).ok
-    assert len(sizes) == 120 and max(sizes) <= 120
-    assert engine._memo == {}
+    assert len(memos) == 1
+    assert max(map(len, memos.values())) <= 120
+    assert memos.held_elsewhere() == []
 
 
 @pytest.mark.parametrize("sweep", [
@@ -347,13 +337,13 @@ def test_seidel_sweep_keeps_one_bounded_memo_and_drops_it(monkeypatch):
     lambda n: qhring.verify_filtration(n),
     lambda n: ktheory.k_verify(n),
 ], ids=["support", "pieri", "explore", "filtration", "ktheory"])
-def test_engine_sweeps_leave_no_memo(sweep, monkeypatch):
+def test_engine_sweeps_leave_no_memo(sweep, memos):
     # the Pieri and K-theory sweeps advance one products_with per hook
-    # together and stop before the sweeps end: closing them drops the memos
+    # together in a zip, which stops before they end: freeing the zip frees
+    # their memos, as the end of a sweep does
     n = 4
-    monkeypatch.setattr(qhring, "_engines", functools.lru_cache(maxsize=None)(qhring.RingEngine))
     sweep(n)
-    assert qhring.get_engine(n, True)._memo == qhring.get_engine(n, False)._memo == {}
+    assert memos and memos.held_elsewhere() == []
 
 
 def test_verify_support_flags_planted_terms(monkeypatch):

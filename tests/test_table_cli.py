@@ -1,9 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+import plants
 from flagq import cli, qhring, table, weyl
 
 
@@ -91,6 +93,18 @@ def test_table_n5_resave_is_byte_identical(tmp_path):
     table.build_table(5).save(tmp_path / "a.txt")
     table.StructureTable.load(tmp_path / "a.txt").save(tmp_path / "b.txt")
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
+@pytest.mark.parametrize("n, digest", [
+    (4, "10b6c0f7a4abb5db50d6382bb3f784372022add20c1736417dfe8c2ca998c33e"),
+    (5, "657c99ccd8f001109ac165b320b495c856a70dbafdaad63d1742b6708223efd4"),
+])
+def test_table_bytes_are_pinned(tmp_path, n, digest):
+    # save sorts its records, so the order build_table multiplies in must not
+    # show in the file
+    table.build_table(n).save(tmp_path / "t.txt")
+    assert hashlib.sha256((tmp_path / "t.txt").read_bytes()).hexdigest() == digest
+
 
 def test_table_header_counts_records(tmp_path):
     t = table.build_table(3)
@@ -282,6 +296,35 @@ def test_cache_table_of_another_rank_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "record, edited, message",
+    [
+        ("3 123 213 213 0,0 1", "3 123 213 213 0,0 -7", "negative structure constant -7"),
+        # l(123) + l(312) = 2 but l(321) = 3
+        ("3 123 312 312 0,0 1", "3 123 312 321 0,0 1", "degree axiom violated"),
+    ],
+    ids=["negative", "degree-axiom"],
+)
+def test_cached_product_breaking_invariants_is_usage_error(
+    tmp_path, capsys, record, edited, message
+):
+    # a record that parses but is no product is not served
+    assert cli.main(["table", "--n", "3", "--cache-dir", str(tmp_path)]) == 0
+    path = tmp_path / "table_n3.txt"
+    text = path.read_text()
+    assert f"\n{record}\n" in text
+    path.write_text(text.replace(f"\n{record}\n", f"\n{edited}\n"))
+    capsys.readouterr()
+    u, v = record.split()[1:3]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["product", "--n", "3", "--u", u, "--v", v, "--cache-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("flagq: cache table: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["product", "--n", "3", "--u", "213", "--u-word", "1", "--v", "132"],
@@ -470,3 +513,14 @@ def test_cli_engine_fault_is_internal_error(monkeypatch, capsys):
     assert exit_info.value.code == 3
     err = capsys.readouterr().err
     assert err.endswith("flagq: internal error: RuntimeError: injected fault\n")
+
+
+def test_cli_table_engine_fault_is_internal_error(tmp_path, monkeypatch, capsys):
+    # build_table's products pass the engine's check: a fault below it is an
+    # internal error, not a usage error, and no table is written
+    plants.negate_engine(monkeypatch)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["table", "--n", "3", "--cache-dir", str(tmp_path)])
+    assert exit_info.value.code == 3
+    assert "negative structure constant" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
