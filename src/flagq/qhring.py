@@ -44,8 +44,8 @@ def qclass(u: Permutation, lam: Optional[DegreeVector] = None) -> QClass:
 
 # --- quantum Bruhat edges and the divisor s_{n-1} ---------------------------
 
-# one shared object per permutation reached by a move, so that the move
-# lists and the product memos do not each hold a copy
+# one object per permutation reached by a move, shared by the move lists
+# and every engine's permutation list (the engines' memos hold int codes)
 _perms: dict[Permutation, Permutation] = {}
 
 

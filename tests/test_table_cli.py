@@ -95,15 +95,73 @@ def test_table_n5_resave_is_byte_identical(tmp_path):
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
 
+def test_table_save_renders_each_distinct_permutation_once(tmp_path, monkeypatch):
+    built = table.build_table(4)
+    calls = []
+    render = weyl.perm_to_string
+
+    def counted(u, sep):
+        calls.append(u)
+        return render(u, sep)
+
+    monkeypatch.setattr(weyl, "perm_to_string", counted)
+    built.save(tmp_path / "t4.txt")
+    assert len(calls) <= 24
+
+
+def both_orientations(text):
+    """A table file as older versions wrote it: every record of an unordered
+    pair under (u, v) and under (v, u), sorted as ``save`` sorts."""
+    header, *lines = text.splitlines()
+    records = set()
+    for line in lines:
+        n, us, vs, ws, lam, c = line.split()
+        degree = tuple(int(a) for a in lam.split(","))
+        records.add((n, us, vs, degree, ws, int(c)))
+        records.add((n, vs, us, degree, ws, int(c)))
+    header = header.rsplit(" records=", 1)[0] + f" records={len(records)}"
+    return "\n".join(
+        [header] + [f"{n} {us} {vs} {ws} {','.join(map(str, degree))} {c}"
+                    for n, us, vs, degree, ws, c in sorted(records)]
+    ) + "\n"
+
+
+@pytest.mark.parametrize("n, digest, records", [
+    (4, "9b3c97ff1dad2ae085f159b4e796a19111089adc560282b52bddece4f5c52f71", 614),
+    (5, "7c82a5e7a51eb80cd8e34bb5d270512ea89430050863763c11f36a5439844bb9", 31825),
+])
+def test_table_bytes_are_pinned(tmp_path, n, digest, records):
+    # save sorts its records, so the order build_table multiplies in must not
+    # show in the file
+    table.build_table(n).save(tmp_path / "t.txt")
+    text = (tmp_path / "t.txt").read_text()
+    assert text.startswith(f"# flagq-table version=1 n={n} records={records}\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("n, digest", [
     (4, "10b6c0f7a4abb5db50d6382bb3f784372022add20c1736417dfe8c2ca998c33e"),
     (5, "657c99ccd8f001109ac165b320b495c856a70dbafdaad63d1742b6708223efd4"),
 ])
-def test_table_bytes_are_pinned(tmp_path, n, digest):
-    # save sorts its records, so the order build_table multiplies in must not
-    # show in the file
+def test_table_with_both_orientations_is_the_older_file(tmp_path, n, digest):
+    # the pins of the format that wrote each unordered pair twice: a file holds
+    # exactly those records whose u comes before v in string order
     table.build_table(n).save(tmp_path / "t.txt")
-    assert hashlib.sha256((tmp_path / "t.txt").read_bytes()).hexdigest() == digest
+    older = both_orientations((tmp_path / "t.txt").read_text())
+    assert hashlib.sha256(older.encode()).hexdigest() == digest
+
+
+def test_table_keeps_one_class_per_pair(tmp_path):
+    # built, loaded, and loaded from a file with both orientations
+    built = table.build_table(4)
+    built.save(tmp_path / "t.txt")
+    loaded = table.StructureTable.load(tmp_path / "t.txt")
+    (tmp_path / "older.txt").write_text(both_orientations((tmp_path / "t.txt").read_text()))
+    older = table.StructureTable.load(tmp_path / "older.txt")
+    assert older.entries == loaded.entries
+    for t in (built, loaded, older):
+        assert len(t.entries) == 24 * 24
+        assert all(t.entries[(u, v)] is t.entries[(v, u)] for u, v in t.entries)
 
 
 def test_table_header_counts_records(tmp_path):
@@ -222,6 +280,30 @@ def test_cli_table_cache(tmp_path):
         qhring.quantum_product(weyl.from_word([2, 1], 3), weyl.from_word([1], 3))
     ))
     assert r.stdout.strip() == direct
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_cache_table_answers_both_orientations(tmp_path, monkeypatch, capsys, fmt):
+    def products(*cache):
+        outs = []
+        for u, v in [("2134", "4231"), ("4231", "2134")]:
+            argv = ["product", "--n", "4", "--u", u, "--v", v, "--format", fmt, *cache]
+            assert cli.main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        return outs
+
+    direct = products()
+    assert cli.main(["table", "--n", "4", "--cache-dir", str(tmp_path)]) == 0
+    # the file holds the pair as 2134 4231 only
+    written = (tmp_path / "table_n4.txt").read_text()
+    assert "\n4 2134 4231 " in written and "\n4 4231 2134 " not in written
+    capsys.readouterr()
+
+    def no_engine(u, v):
+        raise AssertionError("a cached product was recomputed")
+
+    monkeypatch.setattr(qhring, "quantum_product", no_engine)
+    assert products("--cache-dir", str(tmp_path)) == direct
 
 
 def test_cli_truncated_cache_table_is_usage_error(tmp_path, capsys):
