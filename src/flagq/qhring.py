@@ -202,7 +202,6 @@ def quantum_chevalley(i: int, c: QClass, n: int, quantum: bool = True) -> QClass
 
 # memoized helpers of the recursion; the degree ones also hand out one shared
 # tuple per value, so that move lists and classes do not each hold a copy
-_length = lru_cache(maxsize=None)(length)
 _zero = lru_cache(maxsize=None)(rootsys.zero_degree)
 _coroot = lru_cache(maxsize=None)(rootsys.coroot)
 
@@ -215,10 +214,11 @@ def _code(lam: DegreeVector) -> int:
 
 
 @lru_cache(maxsize=None)
-def _degree(code: int, n: int) -> DegreeVector:
-    """The degree vector whose _code is ``code``."""
+def _degree(code: int, n: int) -> tuple[DegreeVector, Optional[int]]:
+    """The degree vector lam whose _code is ``code``, and <2 rho, lam> (None if some lam_i < 0)."""
     base = n * (n - 1) // 2 + 1
-    return tuple(code // base**i % base for i in range(n - 1))
+    lam = tuple(code // base**i % base for i in range(n - 1))
+    return lam, rootsys.pair_2rho(lam) if rootsys.is_nonnegative(lam) else None
 
 
 class RingEngine:
@@ -234,9 +234,9 @@ class RingEngine:
     lives for one call: ``product`` gives _mul a fresh one and expands the
     factor first in (length, one-line) order, and ``products_with`` expands
     each u of a sweep against one kept z from a memo that is freed with the
-    sweep.  So the engine keeps only its interning and its move and
-    transition tables, at most n! n entries, and every product it hands out
-    is checked where it is decoded (_decode, check_product_invariants).
+    sweep.  So the engine keeps only its interning, with each length, and its
+    move and transition tables, at most n! n entries, and every product it
+    hands out is checked term by term where it is decoded (_decode).
     ``quantum=False`` gives the classical cup-product engine.
 
     A term q^lam sigma^w is one int, (_code(lam) << bits) | index(w), with
@@ -256,6 +256,7 @@ class RingEngine:
         self._bits = bits = factorial(n).bit_length()
         self._index: dict[Permutation, int] = {}
         self._perms: list[Permutation] = []
+        self._lengths: list[int] = []  # l(w) by index, for _decode
         self._shifts = {ab: _code(_coroot(ab, n)) << bits for ab in rootsys.positive_roots(n)}
         self._moves: dict[int, tuple] = {}  # index * n + r -> X_r on it (_monk)
         self._transitions: dict[int, tuple] = {}  # index -> its transition step (_transition)
@@ -263,23 +264,28 @@ class RingEngine:
 
     def product(self, u: Permutation, v: Permutation) -> QClass:
         """sigma^u * sigma^v as a fresh QClass, from a memo of its own."""
-        if (_length(v), v) < (_length(u), u):
-            u, v = v, u
-        terms = self._mul(self._intern(u), self._intern(v), {})
-        return self._decode(terms, _length(u) + _length(v))
+        i, j, lengths = self._intern(u), self._intern(v), self._lengths
+        if (lengths[j], v) < (lengths[i], u):
+            i, j = j, i
+        return self._decode(self._mul(i, j, {}), lengths[i] + lengths[j])
 
     def products_with(self, z: Permutation, us: Iterable[Permutation]) -> Iterator[QClass]:
         """Yield sigma^u * sigma^z for each u in us, all from one memo, freed with the sweep."""
-        memo, degree, z = {}, _length(z), self._intern(z)
-        for u in us:
-            yield self._decode(self._mul(self._intern(u), z, memo), _length(u) + degree)
+        memo, z, lengths = {}, self._intern(z), self._lengths
+        for u in map(self._intern, us):
+            yield self._decode(self._mul(u, z, memo), lengths[u] + lengths[z])
 
     def _decode(self, terms: tuple[int, ...], degree: int) -> QClass:
-        """A product's flat (term, coeff, ...) tuple as a fresh QClass, checked at ``degree``."""
-        bits, mask, perms = self._bits, (1 << self._bits) - 1, self._perms
-        it = iter(terms)
-        out = {(_degree(t >> bits, self.n), perms[t & mask]): c for t, c in zip(it, it)}
-        check_product_invariants(out, degree)
+        """A product's flat (term, coeff, ...) tuple as a fresh QClass, each term checked."""
+        n, bits, mask = self.n, self._bits, (1 << self._bits) - 1
+        perms, lengths = self._perms, self._lengths
+        out, it = {}, iter(terms)
+        for t, c in zip(it, it):
+            i = t & mask
+            lam, weight = _degree(t >> bits, n)
+            if not (weight == degree - lengths[i] and type(c) is int and c > 0):
+                check_product_invariants({(lam, perms[i]): c}, degree)
+            out[lam, perms[i]] = c
         return out
 
     def _intern(self, w: Permutation) -> int:
@@ -290,6 +296,7 @@ class RingEngine:
                 raise ValueError("rank mismatch")
             i = self._index[w] = len(self._perms)
             self._perms.append(w)
+            self._lengths.append(length(w))
         return i
 
     def _monk(self, z: int, r: int) -> tuple[tuple[int, int, int], ...]:
@@ -419,7 +426,7 @@ def check_product_invariants(cls: QClass, degree: int) -> None:
     for (lam, w), c in cls.items():
         if not rootsys.is_nonnegative(lam):
             raise AssertionError(f"negative curve degree {lam} in product")
-        if _length(w) + rootsys.pair_2rho(lam) != degree:
+        if length(w) + rootsys.pair_2rho(lam) != degree:
             raise AssertionError(f"degree axiom violated at {(lam, w)}")
         if not isinstance(c, int):
             raise AssertionError(f"non-integral structure constant {c}")
@@ -434,12 +441,13 @@ def _grades(lam: DegreeVector, w: Permutation) -> list[int]:
 
     The i-th number decides every alpha_i-grade test of a term q_lam sigma^w
     of sigma^u * sigma^v.  Both grade pairs sum to l(u) + l(v) by the degree
-    axiom, which the engine enforces on every product (check_product_invariants),
+    axiom, which the engine checks on every term it decodes (RingEngine._decode),
     so the lexicographic comparison of gr_alpha(i, lam, w) with
     gr_alpha(i, 0, u) + gr_alpha(i, 0, v) is the comparison of this component
     with sgn_alpha(u, i) + sgn_alpha(v, i).  Its excess over that bound is
     positive on a term outside the filtration (the vanishing criterion) and
-    zero where the grade is additive (a reduction step applies).
+    zero where the grade is additive (a reduction step applies).  The
+    numbers are _grades(0, w) + _grades(lam, id) (verify_filtration).
     """
     ext = (0, *lam, 0)  # <alpha_i, lam> = 2 lam_i - lam_{i-1} - lam_{i+1}
     return [
@@ -480,16 +488,17 @@ def verify_filtration(n: int) -> list[VerifyReport]:
     reports = [VerifyReport("filtration", n) for _ in range(1, n)]
     perms = weyl.all_permutations(n)
     descents = {u: _grades(_zero(n), u) for u in perms}
+    pairings = lru_cache(maxsize=None)(lambda lam: _grades(lam, identity(n)))
 
     def check(u: Permutation, v: Permutation, product: QClass) -> list[list]:
         """The terms of the product sigma^u * sigma^v over the alpha_i bound, for each i."""
         bounds = list(map(add, descents[u], descents[v]))
-        graded = ((key, _grades(*key)) for key in product)
+        graded = ((key, list(map(add, descents[key[1]], pairings(key[0])))) for key in product)
         over = [(key, grades) for key, grades in graded if any(map(gt, grades, bounds))]
         return [[key for key, grades in over if grades[i] > b] for i, b in enumerate(bounds)]
 
     expanded = []
-    heads = sorted((u for u in perms if u[-1] == n), key=lambda u: (_length(u), u))
+    heads = sorted((u for u in perms if u[-1] == n), key=lambda u: (length(u), u))
     for k, z in enumerate(heads):
         for u, product in zip(heads, products_with(z, heads[: k + 1])):
             if not any(check(u, z, product)):

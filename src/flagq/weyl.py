@@ -9,7 +9,8 @@ transposition therefore swaps two *positions* of the one-line form.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import le
 from typing import Iterable, Sequence
 
 Permutation = tuple[int, ...]
@@ -133,19 +134,25 @@ def lambda_cumulative(u: Permutation, k: int) -> DegreeVector:
 
 # --- Bruhat order and Grassmannian-type permutations -----------------------
 
+def bruhat_tableau(u: Permutation) -> tuple[int, ...]:
+    """The decreasing sorts of the prefixes u(1..i), 1 <= i < n, end to end.
+
+    u <= v in the Bruhat order iff v's top-left rank counts dominate u's, that
+    is, iff u's tableau is entrywise at most v's (tableau_leq).
+    """
+    return tuple(chain.from_iterable(sorted(u[:i], reverse=True) for i in range(1, len(u))))
+
+
+def tableau_leq(s: tuple[int, ...], t: tuple[int, ...]) -> bool:
+    """u <= v in the Bruhat order, from s = bruhat_tableau(u) and t = bruhat_tableau(v)."""
+    return all(map(le, s, t))
+
+
 def bruhat_leq(u: Permutation, v: Permutation) -> bool:
-    """Bruhat order via the rank-matrix (dominance) criterion, O(n^2)."""
+    """Bruhat order by the tableau criterion (bruhat_tableau), O(n^2 log n)."""
     if len(u) != len(v):
         raise ValueError("rank mismatch")
-    n = len(u)
-    for i in range(1, n):
-        cu = sorted(u[:i], reverse=True)
-        cv = sorted(v[:i], reverse=True)
-        # u <= v iff the top-left rank counts dominate; equivalently the
-        # decreasing sorts satisfy cu[t] <= cv[t] entrywise.
-        if any(a > b for a, b in zip(cu, cv)):
-            return False
-    return True
+    return tableau_leq(bruhat_tableau(u), bruhat_tableau(v))
 
 
 def perm_to_partition(u: Permutation, k: int) -> tuple[int, ...]:

@@ -4,10 +4,10 @@ A sweep over one kept factor z takes its products from
 ``qhring.products_with(z, us)``; single products come from
 ``qhring.quantum_product`` or ``qhring.classical_product``.  ``plant``
 patches both, so that a planted fault reaches a sweep and the oracle it is
-compared with alike.  ``negate_engine`` plants a fault below both, inside
-the engine, where its own check must catch it.
+compared with alike.  ``negate_engine`` and ``shift_engine`` plant a fault
+below both, inside the engine, where its own check must catch it.
 """
-from flagq import qhring
+from flagq import qhring, rootsys
 
 
 def plant(monkeypatch, wrong, quantum=True):
@@ -43,3 +43,20 @@ def negate_engine(monkeypatch):
         return tuple(-x if i % 2 else x for i, x in enumerate(mul(self, w, z, memo)))
 
     monkeypatch.setattr(qhring.RingEngine, "_mul", negated)
+
+
+def shift_engine(monkeypatch):
+    """Give sigma^id * sigma^z = sigma^z an extra q^{alpha_1^vee} in both engines' _mul.
+
+    Every product the recursion builds from it then has the same extra
+    q-degree, with its coefficients unchanged.
+    """
+    mul = qhring.RingEngine._mul
+
+    def shifted(self, w, z, memo):
+        terms = mul(self, w, z, memo)
+        if w == self._identity:
+            terms = (terms[0] + (qhring._code(rootsys.coroot((1, 2), self.n)) << self._bits), 1)
+        return terms
+
+    monkeypatch.setattr(qhring.RingEngine, "_mul", shifted)

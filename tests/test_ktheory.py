@@ -162,3 +162,35 @@ def test_k_verify_counterexamples_in_m_then_v_order(monkeypatch):
     assert r.total - r.passed == 2
     assert [c[:2] for c in r.counterexamples] == [late, early]
     assert r.counterexamples[0][2] == [(None, "lowest layer != cup product")]
+
+
+def plant_k_moves(monkeypatch, x, wrong):
+    """Replace the K-Monk moves of x, and only of x, by wrong(moves)."""
+    moves = qhring._k_divisor_moves
+    monkeypatch.setattr(
+        qhring, "_k_divisor_moves", lambda y: wrong(moves(y)) if y == x else moves(y)
+    )
+
+
+def test_k_verify_reports_a_planted_sign_fault(monkeypatch):
+    # O^{s_3} . O^id = O^{s_3}; with its sign flipped the lowest layer of
+    # (m, v) = (1, id) is negative
+    n = 4
+    ident, s3 = weyl.identity(n), weyl.hook(n, 1)
+    plant_k_moves(monkeypatch, ident, lambda moves: tuple((y, -c) for y, c in moves))
+    r = ktheory.k_verify(n)
+    bad = {c[:2]: c[2] for c in r.counterexamples if len(c) == 3}[1, ident]
+    assert ((rootsys.zero_degree(n), s3, -1), "sign pattern") in bad
+
+
+def test_k_verify_reports_a_planted_support_fault(monkeypatch):
+    # s_2 s_3 has length l(s_1) + 1 and a positive sign, so it passes the sign
+    # pattern, but it is not Bruhat-above s_1
+    n = 4
+    s1, s2s3 = w([1], n), w([2, 3], n)
+    assert not weyl.bruhat_leq(s1, s2s3)
+    plant_k_moves(monkeypatch, s1, lambda moves: (*moves, (s2s3, 1)))
+    r = ktheory.k_verify(n)
+    bad = {c[:2]: c[2] for c in r.counterexamples if len(c) == 3}[1, s1]
+    assert ((rootsys.zero_degree(n), s2s3, 1), "Bruhat support") in bad
+    assert all(reason != "sign pattern" for term, reason in bad if term and term[1] == s2s3)

@@ -26,7 +26,7 @@ def decode(engine, terms):
     """(sign, q-shift, index) engine terms as the oracle's (sign, degree, permutation)."""
     n = engine.n
     return tuple(
-        (sign, qhring._degree(shift >> engine._bits, n), engine._perms[x])
+        (sign, qhring._degree(shift >> engine._bits, n)[0], engine._perms[x])
         for sign, shift, x in terms
     )
 

@@ -198,6 +198,30 @@ def test_products_with_checks_product_invariants(monkeypatch):
             list(qhring.products_with(weyl.hook(n, 1), weyl.all_permutations(n), quantum))
 
 
+def test_engine_checks_the_degree_axiom_on_its_int_terms(monkeypatch):
+    # a term whose q-degree the engine got wrong fails the degree axiom where
+    # it is decoded, in a single product and a sweep of either engine
+    n = 4
+    plants.shift_engine(monkeypatch)
+    for single in (qhring.quantum_product, qhring.classical_product):
+        with pytest.raises(AssertionError, match="degree axiom violated"):
+            single(weyl.hook(n, 2), sigma([1, 2], n))
+    for quantum in (True, False):
+        with pytest.raises(AssertionError, match="degree axiom violated"):
+            list(qhring.products_with(weyl.hook(n, 1), weyl.all_permutations(n), quantum))
+
+
+def test_grades_split_into_descents_and_pairings():
+    # _grades(lam, w) = _grades(0, w) + _grades(lam, id): the filtration sweep
+    # reads each term's grades as its descents plus one <alpha_i, lam> vector per lam
+    n = 4
+    zero, ident = qhring._zero(n), weyl.identity(n)
+    for w in weyl.all_permutations(n):
+        for lam in itertools.product(range(3), repeat=n - 1):
+            split = [a + b for a, b in zip(qhring._grades(zero, w), qhring._grades(lam, ident))]
+            assert qhring._grades(lam, w) == split, (lam, w)
+
+
 def test_associativity_with_divisors(s4_table):
     n = 4
     perms = weyl.all_permutations(n)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -105,11 +106,46 @@ def bruhat_leq_subword(u, v):
     return target == 0
 
 
+def bruhat_leq_ranks(u, v):
+    """Oracle: u <= v iff #{a <= i : u(a) >= j} <= #{a <= i : v(a) >= j} for all i, j."""
+    n = len(u)
+    return all(
+        sum(x >= j for x in u[:i]) <= sum(x >= j for x in v[:i])
+        for i in range(1, n) for j in range(1, n + 1)
+    )
+
+
 def test_bruhat_matches_subword_oracle():
     perms = weyl.all_permutations(4)
+    tableaux = {w: weyl.bruhat_tableau(w) for w in perms}
     for u in perms:
         for v in perms:
-            assert weyl.bruhat_leq(u, v) == bruhat_leq_subword(u, v), (u, v)
+            expected = bruhat_leq_subword(u, v)
+            assert weyl.bruhat_leq(u, v) == expected, (u, v)
+            assert weyl.tableau_leq(tableaux[u], tableaux[v]) == expected, (u, v)
+
+
+def test_bruhat_tableaux_match_rank_oracle_n6():
+    # cached tableaux, compared as the K-theory sweep compares them, on a
+    # seeded sample of pairs: u against a random v and against a product of
+    # u with random transpositions, which is often above it
+    perms = weyl.all_permutations(6)
+    tableaux = {w: weyl.bruhat_tableau(w) for w in perms}
+    rng = random.Random(6)
+    seen = set()
+    for _ in range(1500):
+        u = rng.choice(perms)
+        v = list(u)
+        for _ in range(rng.randrange(1, 4)):
+            a, b = sorted(rng.sample(range(6), 2))
+            if v[a] < v[b]:
+                v[a], v[b] = v[b], v[a]
+        for v in (rng.choice(perms), tuple(v)):
+            expected = bruhat_leq_ranks(u, v)
+            assert weyl.tableau_leq(tableaux[u], tableaux[v]) == expected, (u, v)
+            assert weyl.bruhat_leq(u, v) == expected, (u, v)
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_grassmannian_type_and_partitions():
