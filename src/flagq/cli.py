@@ -255,7 +255,7 @@ def _verify_reports(which: str, n: int, engine_check: bool) -> list[VerifyReport
 
 def cmd_verify(args) -> int:
     # engine comparison of the Pieri sweep is implied at small rank,
-    # opt-in beyond (at n = 8 its products take about four times the
+    # opt-in beyond (at n = 8 its products take about seven times the
     # closed forms' time and six times their memory)
     engine_check = args.engine_check or args.n <= 4
     reports = _verify_reports(args.what, args.n, engine_check)

@@ -9,8 +9,11 @@ by powers of T; the sweeps check these closed forms against the engine.
 """
 from __future__ import annotations
 
+import sys
+from array import array
+from functools import lru_cache, reduce
 from itertools import accumulate
-from operator import itemgetter, sub
+from operator import and_, itemgetter, sub
 from typing import Callable
 
 from . import qhring, rootsys, weyl
@@ -101,29 +104,63 @@ def verify_pieri(n: int, engine_check: bool = True) -> VerifyReport:
     n; so each v with v(n) = n serves its n rotations u = (s_1...s_{n-1})^{n-k} v,
     k = 0, ..., n-1.  With ``engine_check`` each closed form is compared
     against the full engine product, from one products_with sweep per hook,
-    the n - 1 sweeps advanced together; without it only the formula's
-    divisibility and invariants are exercised, at a fraction of the time
-    and memory.
+    the n - 1 sweeps advanced together.
+
+    Without it only the prefactor's divisibility is read, and it is decided
+    for all n rotations at once.  Two ints hold one field per (k, i),
+    k = 0..n-1, 1 <= i <= n-1, each wide enough for a guard bit above n - 1
+    (one byte up to n = 128): ``base`` packs lambda(u,k)_i plus the guard
+    bit, ``counts(w)`` packs #{j <= i : w(j) <= k}.  No value exceeds n - 1,
+    so no field of base - counts(w) borrows from the next, and its guard bit
+    is gone exactly where q_i < 0.  The AND over a power's terms keeps a
+    guard bit only if every term keeps it; an OR would let one term hide
+    another's negative exponent.  Only a flagged (m, u) builds its class:
+    its PieriFormulaError words the counterexample, and a class that does
+    not raise there disagrees with the packed check and is recorded instead.
     """
     report = VerifyReport("pieri", n)
     heads = weyl.all_permutations(n - 1)
     if engine_check:
         us = [weyl.u_up((*head, n), n - k) for head in heads for k in range(n)]
         engine = zip(*(qhring.products_with(weyl.hook(n, m), us) for m in range(1, n)))
+    code = next(c for c in "BHQ" if n <= 1 << 8 * array(c).itemsize - 1)
+    size, guard = n * (n - 1) * array(code).itemsize, 1 << 8 * array(code).itemsize - 1
+
+    def pack(fields) -> int:
+        return int.from_bytes(array(code, fields), sys.byteorder)
+
+    guards = pack([guard] * (n * (n - 1)))
+
+    @lru_cache(maxsize=1024)
+    def counts(w: Permutation) -> int:
+        return pack([c for k in range(n) for c in accumulate(map(k.__ge__, w[:-1]))])
+
     for head in heads:
         v = (*head, n)
         powers = list(qhring.divisor_powers(v, qhring._divisor_moves))
-        for k in range(n):
-            u = weyl.u_up(v, n - k)
-            conjugate = seidel_conjugation(u, PieriFormulaError)
-            products = next(engine) if engine_check else None
+        rotations = [weyl.u_up(v, n - k) for k in range(n)]
+        read = [range(1, n) if engine_check else [] for _ in rotations]
+        if not engine_check:
+            base = pack([guard + b for k, u in enumerate(rotations)
+                         for b in weyl.lambda_cumulative(u, k)])
             for m, power in enumerate(powers, start=1):
+                kept = reduce(and_, map(base.__sub__, map(counts, power)), guards)
+                if kept & guards != guards:
+                    fields = array(code, kept.to_bytes(size, sys.byteorder))
+                    for k in range(n):
+                        if min(fields[k * (n - 1):(k + 1) * (n - 1)]) < guard:
+                            read[k].append(m)
+        for u, ms in zip(rotations, read):
+            report.record(True, count=n - 1 - len(ms))
+            conjugate = seidel_conjugation(u, PieriFormulaError) if ms else None
+            products = next(engine) if engine_check else None
+            for m in ms:
                 try:
-                    closed = conjugate(m, power.items())
+                    closed = conjugate(m, powers[m - 1].items())
                 except PieriFormulaError as err:
                     report.record(False, (m, u, err))
                     continue
-                ok = not engine_check or closed == products[m - 1]
+                ok = engine_check and closed == products[m - 1]
                 report.record(ok, None if ok else (m, u, closed))
     report.counterexamples.sort(key=itemgetter(0, 1))
     return report

@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -135,9 +136,91 @@ def test_verify_pieri_formula_error_fails_one_record(monkeypatch):
     assert r.counterexamples[0][2] == r.counterexamples[1][2] == {}
     err = r.counterexamples[2][2]
     assert isinstance(err, seidel.PieriFormulaError) and str(err) == "planted"
+
+
+def reference_pieri(n, engine_check):
+    """(total, counterexamples) of verify_pieri from one quantum_pieri call per
+    (m, u): a call that raises is a counterexample with its error message, and
+    with ``engine_check`` so is a class that differs from the engine product."""
+    bad = []
+    perms = weyl.all_permutations(n)
+    for m in range(1, n):
+        for u in perms:
+            try:
+                closed = seidel.quantum_pieri(m, u)
+            except seidel.PieriFormulaError as err:
+                bad.append((m, u, str(err)))
+                continue
+            if engine_check and closed != qhring.quantum_product(weyl.hook(n, m), u):
+                bad.append((m, u, closed))
+    return len(perms) * (n - 1), bad
+
+
+def plant_below(monkeypatch, n):
+    """Every w with w(1) = 2 gets the extra divisor move sigma^id, below the
+    chain's start v: many (m, u) get a negative exponent."""
+    moves = qhring._divisor_moves
+    extra = ((weyl.identity(n), 1),)
+    monkeypatch.setattr(qhring, "_divisor_moves", lambda w: moves(w) + extra * (w[0] == 2))
+
+
+def plant_one_field(monkeypatch, n):
+    """The second power of v = s_2 gets the extra term sigma^id.  id's counts
+    #{j <= i : j <= k} = min(i, k) exceed v's only at (k, i) = (2, 2), so
+    only u = u_up(v, n - 2) at m = 2 fails, in that one field."""
+    powers = qhring.divisor_powers
+    v = weyl.from_word([2], n)
+
+    def planted(w, moves):
+        for m, cls in enumerate(powers(w, moves), start=1):
+            yield {**cls, weyl.identity(n): 1} if (m, w) == (2, v) else cls
+
+    monkeypatch.setattr(qhring, "divisor_powers", planted)
+
+
+@pytest.mark.parametrize("plant", [plant_below, plant_one_field], ids=["below", "one_field"])
+@pytest.mark.parametrize("n, engine_check", [(4, True), (4, False), (5, False)])
+def test_verify_pieri_matches_reference_on_planted_chains(n, engine_check, plant, monkeypatch):
+    # the packed divisibility check must flag exactly the (m, u) whose closed
+    # form raises, and word them as the closed form does
+    plant(monkeypatch, n)
+    total, bad = reference_pieri(n, engine_check)
+    r = seidel.verify_pieri(n, engine_check=engine_check)
+    assert (r.total, r.passed) == (total, total - len(bad))
+    got = [(m, u, str(c) if isinstance(c, seidel.PieriFormulaError) else c)
+           for m, u, c in r.counterexamples]
+    assert got == bad
+    if plant is plant_one_field and not engine_check:
+        u = weyl.u_up(weyl.from_word([2], n), n - 2)
+        assert [c[:2] for c in bad] == [(2, u)]
+        assert "negative exponent (0, -1, 0" in bad[0][2]
+
+
+def test_verify_pieri_records_a_flag_the_closed_form_misses(monkeypatch):
+    # a flagged (m, u) whose closed form does not raise is a counterexample
+    n = 4
+    plant_below(monkeypatch, n)
+    total, bad = reference_pieri(n, engine_check=False)
+    monkeypatch.setattr(seidel, "seidel_conjugation", lambda u, error: lambda m, terms: {})
     r = seidel.verify_pieri(n, engine_check=False)
-    assert (r.total, r.passed) == (72, 71)
-    assert [c[:2] for c in r.counterexamples] == [raise_at]
+    assert bad and (r.total, r.passed) == (total, total - len(bad))
+    assert r.counterexamples == [(m, u, {}) for m, u, _ in bad]
+
+
+@pytest.mark.parametrize("n, engine_check, calls", [(5, False, 0), (4, True, 24)])
+def test_verify_pieri_builds_closed_forms_only_where_read(n, engine_check, calls, monkeypatch):
+    # without the engine check a sweep with nothing flagged builds no class;
+    # with it every u builds its closed form once
+    closed_form = seidel.seidel_conjugation
+    seen = []
+
+    def spy(u, error):
+        seen.append(u)
+        return closed_form(u, error)
+
+    monkeypatch.setattr(seidel, "seidel_conjugation", spy)
+    assert seidel.verify_pieri(n, engine_check=engine_check).ok
+    assert len(seen) == len(set(seen)) == calls
 
 
 def reference_conjugate(m, u, moves, error):
@@ -210,6 +293,31 @@ def test_conjugation_degree_identity(n):
             except seidel.PieriFormulaError:
                 got = None
             assert got == (None if min(q) < 0 else {(q, w_up): 7}), (k, w)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_rotation_prefactor_counts_low_values(n):
+    # lambda(u_up(v, n - k), k)_i = #{j <= i : v(j) <= k}, so the closed
+    # form's q_i = r_v(i, k) - r_w(i, k) with r_x(i, k) = #{j <= i : x(j) <= k}
+    for v in weyl.all_permutations(n):
+        for k in range(n):
+            low = tuple(accumulate(x <= k for x in v[:-1]))
+            assert weyl.lambda_cumulative(weyl.u_up(v, n - k), k) == low, (v, k)
+
+
+def test_prefactor_divides_exactly_above_v_n4():
+    # by the rank criterion no rotation k gives a negative exponent iff v <= w
+    n = 4
+    perms = weyl.all_permutations(n)
+    for v in perms:
+        bases = [weyl.lambda_cumulative(weyl.u_up(v, n - k), k) for k in range(n)]
+        for w in perms:
+            divides = all(
+                b >= c
+                for k, base in enumerate(bases)
+                for b, c in zip(base, accumulate(x <= k for x in w))
+            )
+            assert divides == weyl.bruhat_leq(v, w), (v, w)
 
 
 def test_pieri_fl5_golden():
