@@ -2,16 +2,17 @@
 
 Elements are sparse maps (degree vector, permutation) -> integer
 coefficient.  Every rule is read off the quantum Bruhat graph, whose edges
-at a position r come from one scan per side (_left_edges, _right_edges): the
-quantum Monk operators X_r of Fomin, Gelfand and Postnikov (RingEngine._monk),
-the quantum Chevalley operators of the divisors s_i, and the divisor s_{n-1}
-in H* and in K, whose powers are the hook products.  The
-Lascoux-Schutzenberger transition step writes every sigma^w != sigma^id as
-X_r sigma^v plus classes that are shorter, or as long and lexicographically
-larger, and products follow by a memoized integer recursion on the expanded
-factor w, sigma^w * sigma^z = X_r (sigma^v * sigma^z) + rest * sigma^z, in
-which a term is one int and a q-shift an int addition (RingEngine).  A memo
-lives for one product or one sweep; every product is checked as it is decoded.
+at a position r come from one scan per side (_left_edges, _right_edges),
+each edge with its moved permutation: the quantum Monk operators X_r of
+Fomin, Gelfand and Postnikov (RingEngine._monk), the quantum Chevalley
+operators of the divisors s_i, and the divisor s_{n-1} in H* and in K, whose
+powers are the hook products.  The Lascoux-Schutzenberger transition step
+writes every sigma^w != sigma^id as X_r sigma^v plus classes that are
+shorter, or as long and lexicographically larger, and products follow by a
+memoized integer recursion on the expanded factor w, sigma^w * sigma^z =
+X_r (sigma^v * sigma^z) + rest * sigma^z, in which a term is one int and a
+q-shift an int addition (RingEngine).  A memo lives for one product or one
+sweep; every product is checked as it is decoded.
 
 The same recursion with the quantum terms switched off yields the classical
 cup product, which agrees with the q=0 truncation of the quantum product.
@@ -44,13 +45,13 @@ def qclass(u: Permutation, lam: Optional[DegreeVector] = None) -> QClass:
 
 # --- quantum Bruhat edges and the divisor s_{n-1} ---------------------------
 
-# one object per permutation reached by a move, shared by the move lists
-# and every engine's permutation list (the engines' memos hold int codes)
+# one object per permutation reached by a divisor move, shared by the move
+# lists of _divisor_moves and _k_divisor_moves
 _perms: dict[Permutation, Permutation] = {}
 
 
-def _left_edges(w: Permutation, r: int, lo: int = 1) -> list[tuple[int, bool]]:
-    """The quantum Bruhat edges w -> w t_ar, lo <= a < r, as (a, quantum), a rising.
+def _left_edges(w: Permutation, r: int, lo: int = 1) -> list[tuple[int, bool, Permutation]]:
+    """The quantum Bruhat edges w -> w t_ar, lo <= a < r, as (a, quantum, w t_ar), a rising.
 
     Swapping w(a) and w(b) (a < b) flips the pair (a, b) itself and, for
     each c in (a, b) with w(c) strictly between w(a) and w(b), the two pairs
@@ -61,28 +62,34 @@ def _left_edges(w: Permutation, r: int, lo: int = 1) -> list[tuple[int, bool]]:
     y = w(r), it keeps the greatest value passed below y and the greatest
     passed above it.  (a, r) is a cover when below < w(a) < y, and a quantum
     edge when w(a) > y, nothing below y was passed and w(a) exceeds every
-    value passed.
+    value passed.  The scan holds both values of the swap, so each edge
+    carries the moved permutation.
     """
     y = w[r - 1]
     below = above = 0
     out = []
+    moved = list(w)  # w t_ar for the edge at hand, restored at a after each
     a = r
     for x in reversed(w[lo - 1 : r - 1]):
         a -= 1
         if x < y:
             if x > below:
-                out.append((a, False))
+                moved[a - 1], moved[r - 1] = y, x
+                out.append((a, False, tuple(moved)))
+                moved[a - 1] = x
                 below = x
         elif x > above:
             if not below:
-                out.append((a, True))
+                moved[a - 1], moved[r - 1] = y, x
+                out.append((a, True, tuple(moved)))
+                moved[a - 1] = x
             above = x
     out.reverse()
     return out
 
 
-def _right_edges(w: Permutation, r: int) -> list[tuple[int, bool]]:
-    """The edges w -> w t_rb, r < b <= n, as (b, quantum), b rising.
+def _right_edges(w: Permutation, r: int) -> list[tuple[int, bool, Permutation]]:
+    """The edges w -> w t_rb, r < b <= n, as (b, quantum, w t_rb), b rising.
 
     The mirror of _left_edges: with x = w(r), one upward scan keeps the
     least value passed above x and the least passed below it.  (r, b) is a
@@ -93,24 +100,21 @@ def _right_edges(w: Permutation, r: int) -> list[tuple[int, bool]]:
     x = w[r - 1]
     above = below = n + 1
     out = []
+    moved = list(w)  # w t_rb for the edge at hand, restored at b after each
     for b, z in enumerate(w[r:], r + 1):
         if z > x:
             if z < above:
-                out.append((b, False))
+                moved[r - 1], moved[b - 1] = z, x
+                out.append((b, False, tuple(moved)))
+                moved[b - 1] = z
                 above = z
         elif z < below:
             if above > n:
-                out.append((b, True))
+                moved[r - 1], moved[b - 1] = z, x
+                out.append((b, True, tuple(moved)))
+                moved[b - 1] = z
             below = z
     return out
-
-
-def _move(w: Permutation, a: int, b: int) -> Permutation:
-    """w t_ab, shared through _perms."""
-    wp = list(w)
-    wp[a - 1], wp[b - 1] = wp[b - 1], wp[a - 1]
-    wp = tuple(wp)
-    return _perms.setdefault(wp, wp)
 
 
 @lru_cache(maxsize=None)
@@ -121,8 +125,9 @@ def _divisor_moves(w: Permutation) -> tuple[tuple[Permutation, int], ...]:
     with w -> w t_{an} a Bruhat cover (_left_edges), the one-step chains of
     _k_divisor_moves.
     """
-    n = len(w)
-    return tuple((_move(w, a, n), 1) for a, quantum in _left_edges(w, n) if not quantum)
+    return tuple(
+        (_perms.setdefault(y, y), 1) for _, quantum, y in _left_edges(w, len(w)) if not quantum
+    )
 
 
 @lru_cache(maxsize=None)
@@ -141,9 +146,9 @@ def _k_divisor_moves(w: Permutation) -> tuple[tuple[Permutation, int], ...]:
     chains = [(w, 1, 1)]  # (end of a chain, least next a, sign of the next step)
     while chains:
         x, lo, sign = chains.pop()
-        for a, quantum in _left_edges(x, n, lo):
+        for a, quantum, y in _left_edges(x, n, lo):
             if not quantum:
-                y = _move(x, a, n)
+                y = _perms.setdefault(y, y)
                 out.append((y, sign))
                 chains.append((y, a + 1, -sign))
     return tuple(out)
@@ -191,10 +196,10 @@ def quantum_chevalley(i: int, c: QClass, n: int, quantum: bool = True) -> QClass
         raise ValueError(f"simple index {i} out of range for n={n}")
     out: QClass = {}
     accumulate(out, (
-        ((rootsys.add_degrees(lam, _coroot((a, b), n)) if q else lam, _move(w, a, b)), coeff)
+        ((rootsys.add_degrees(lam, _coroot((a, b), n)) if q else lam, y), coeff)
         for (lam, w), coeff in c.items()
         for a in range(1, i + 1)
-        for b, q in _right_edges(w, a)
+        for b, q, y in _right_edges(w, a)
         if b > i and (quantum or not q)
     ))
     return out
@@ -236,7 +241,9 @@ class RingEngine:
     each u of a sweep against one kept z from a memo that is freed with the
     sweep.  So the engine keeps only its interning, with each length, and its
     move and transition tables, at most n! n entries, and every product it
-    hands out is checked term by term where it is decoded (_decode).
+    hands out is checked term by term where it is decoded (_decode).  A
+    permutation first met through a move comes with its length, read off the
+    move (_monk, _transition); only the factors from outside are counted.
     ``quantum=False`` gives the classical cup-product engine.
 
     A term q^lam sigma^w is one int, (_code(lam) << bits) | index(w), with
@@ -288,15 +295,19 @@ class RingEngine:
             out[lam, perms[i]] = c
         return out
 
-    def _intern(self, w: Permutation) -> int:
-        """w's index, handed out the first time the engine meets w, which must have rank n."""
+    def _intern(self, w: Permutation, ell: Optional[int] = None) -> int:
+        """w's index, handed out the first time the engine meets w, which must have rank n.
+
+        ``ell`` is l(w) when a move (_monk, _transition) gives it; only a
+        factor from outside the engine has its inversions counted.
+        """
         i = self._index.get(w)
         if i is None:
             if len(w) != self.n:
                 raise ValueError("rank mismatch")
             i = self._index[w] = len(self._perms)
             self._perms.append(w)
-            self._lengths.append(length(w))
+            self._lengths.append(length(w) if ell is None else ell)
         return i
 
     def _monk(self, z: int, r: int) -> tuple[tuple[int, int, int], ...]:
@@ -309,15 +320,17 @@ class RingEngine:
         order.  One scan per side of r finds them (_right_edges, _left_edges):
         classical when w(a) < w(b) and no c in (a, b) has w(c) between them,
         quantum (degree gamma^vee) when w(a) > w(b) and every such c does.
+        Each edge brings its moved permutation, of length l(w) + 1, less
+        2(b - a) on a quantum edge.
         """
-        w, shifts = self._perms[z], self._shifts
+        w, ell, shifts, intern = self._perms[z], self._lengths[z], self._shifts, self._intern
         out = []
-        for b, q in _right_edges(w, r):
+        for b, q, y in _right_edges(w, r):
             if self.quantum or not q:
-                out.append((1, shifts[r, b] if q else 0, self._intern(_move(w, r, b))))
-        for a, q in _left_edges(w, r):
+                out.append((1, shifts[r, b] if q else 0, intern(y, ell + 1 - 2 * (b - r) * q)))
+        for a, q, y in _left_edges(w, r):
             if self.quantum or not q:
-                out.append((-1, shifts[a, r] if q else 0, self._intern(_move(w, a, r))))
+                out.append((-1, shifts[a, r] if q else 0, intern(y, ell + 1 - 2 * (r - a) * q)))
         return tuple(out)
 
     def _transition(self, w: int) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
@@ -325,16 +338,25 @@ class RingEngine:
 
         The Lascoux-Schutzenberger step: r is the last descent of w, s the
         largest position after r with w(s) < w(r), and v = w t_{rs}.  Among the
-        terms of X_r sigma^v (_monk) the only classical (r, b) move is w
-        itself, so rest is minus every other term: the sigma^{v t_{ar}} with
-        a < r, and the q-terms.  Each rest term is shorter than w, or as long
-        and lexicographically larger, so the recursion on it ends.
+        terms of X_r sigma^v (_monk, read from _moves where _mul built it) the
+        only classical (r, b) move is w itself, so rest is minus every other
+        term: the sigma^{v t_{ar}} with a < r, and the q-terms.  Each rest term
+        is shorter than w, or as long and lexicographically larger, so the
+        recursion on it ends.  w covers v, so l(v) = l(w) - 1.  r and s are
+        found walking back from n: w increases after r, so the walk for s stops
+        at the first value below w(r).
         """
-        x, n = self._perms[w], self.n
-        r = max(i for i in range(1, n) if x[i - 1] > x[i])
-        s = max(j for j in range(r + 1, n + 1) if x[j - 1] < x[r - 1])
-        v = self._intern(_move(x, r, s))
-        rest = tuple((-sign, shift, y) for sign, shift, y in self._monk(v, r) if shift or y != w)
+        x = self._perms[w]
+        r, s = self.n - 1, self.n
+        while x[r - 1] < x[r]:
+            r -= 1
+        while x[s - 1] > x[r - 1]:
+            s -= 1
+        v = list(x)
+        v[r - 1], v[s - 1] = x[s - 1], x[r - 1]
+        v = self._intern(tuple(v), self._lengths[w] - 1)
+        moves = self._moves.get(v * self.n + r) or self._monk(v, r)  # never empty: it holds w
+        rest = tuple((-sign, shift, y) for sign, shift, y in moves if shift or y != w)
         return r, v, rest
 
     def _mul(self, w: int, z: int, memo: dict[int, tuple[int, ...]]) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate
 from operator import and_, itemgetter, sub
 from typing import Callable
@@ -110,30 +110,23 @@ def verify_pieri(n: int, engine_check: bool = True) -> VerifyReport:
     for all n rotations at once.  Two ints hold one field per (k, i),
     k = 0..n-1, 1 <= i <= n-1, each wide enough for a guard bit above n - 1
     (one byte up to n = 128): ``base`` packs lambda(u,k)_i plus the guard
-    bit, ``counts(w)`` packs #{j <= i : w(j) <= k}.  No value exceeds n - 1,
-    so no field of base - counts(w) borrows from the next, and its guard bit
-    is gone exactly where q_i < 0.  The AND over a power's terms keeps a
-    guard bit only if every term keeps it; an OR would let one term hide
-    another's negative exponent.  Only a flagged (m, u) builds its class:
-    its PieriFormulaError words the counterexample, and a class that does
-    not raise there disagrees with the packed check and is recorded instead.
+    bit, ``counts(w)`` packs #{j <= i : w(j) <= k} (_pieri_fields).  No
+    value exceeds n - 1, so no field of base - counts(w) borrows from the
+    next, and its guard bit is gone exactly where q_i < 0.  The AND over a
+    power's terms keeps a guard bit only if every term keeps it; an OR would
+    let one term hide another's negative exponent.  Only a flagged (m, u)
+    builds its class: its PieriFormulaError words the counterexample, and a
+    class that does not raise there disagrees with the packed check and is
+    recorded instead.
     """
     report = VerifyReport("pieri", n)
     heads = weyl.all_permutations(n - 1)
     if engine_check:
         us = [weyl.u_up((*head, n), n - k) for head in heads for k in range(n)]
         engine = zip(*(qhring.products_with(weyl.hook(n, m), us) for m in range(1, n)))
-    code = next(c for c in "BHQ" if n <= 1 << 8 * array(c).itemsize - 1)
+    code, pack, counts = _pieri_fields(n)
     size, guard = n * (n - 1) * array(code).itemsize, 1 << 8 * array(code).itemsize - 1
-
-    def pack(fields) -> int:
-        return int.from_bytes(array(code, fields), sys.byteorder)
-
     guards = pack([guard] * (n * (n - 1)))
-
-    @lru_cache(maxsize=1024)
-    def counts(w: Permutation) -> int:
-        return pack([c for k in range(n) for c in accumulate(map(k.__ge__, w[:-1]))])
 
     for head in heads:
         v = (*head, n)
@@ -164,6 +157,29 @@ def verify_pieri(n: int, engine_check: bool = True) -> VerifyReport:
                 report.record(ok, None if ok else (m, u, closed))
     report.counterexamples.sort(key=itemgetter(0, 1))
     return report
+
+
+def _pieri_fields(n: int) -> tuple[str, Callable[..., int], Callable[[Permutation], int]]:
+    """(code, pack, counts) of verify_pieri at rank n.
+
+    ``pack`` packs one value per field (k, i) as the items of an array of
+    type ``code``.  ``counts(w)``, the packed #{j <= i : w(j) <= k}, sums
+    column[j][w(j)] over j < n: a 1 in every field with k >= w(j) and i >= j.
+    """
+    code = next(c for c in "BHQ" if n <= 1 << 8 * array(c).itemsize - 1)
+
+    def pack(fields) -> int:
+        return int.from_bytes(array(code, fields), sys.byteorder)
+
+    column = [
+        [pack([k >= x and i >= j for k in range(n) for i in range(1, n)]) for x in range(n + 1)]
+        for j in range(1, n)
+    ]
+
+    def counts(w: Permutation) -> int:
+        return sum(map(list.__getitem__, column, w[:-1]))
+
+    return code, pack, counts
 
 
 def verify_support(n: int) -> VerifyReport:

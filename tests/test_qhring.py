@@ -185,6 +185,30 @@ def test_products_with_matches_single_products(n, quantum, memos):
         assert products == [single(u, z) for u in perms], z
 
 
+@pytest.mark.parametrize("quantum", [True, False])
+def test_engine_lengths_come_with_each_move(quantum):
+    # a permutation first met through a move is interned with the length the
+    # move implies (a cover adds 1, a quantum edge over (a, b) subtracts
+    # 2(b - a) - 1, a transition step subtracts 1), not its inversion count.
+    # _decode checks terms against these lengths, and a term it rejects only
+    # goes on to check_product_invariants, which passes a right term, so a
+    # wrong length shows nowhere else
+    for n in range(2, 7):
+        engine = qhring.RingEngine(n, quantum)
+        perms = weyl.all_permutations(n)
+        for z in kept_factors(n):
+            for _ in engine.products_with(z, perms):
+                pass
+        assert len(engine._perms) == len(perms)
+        assert engine._lengths == list(map(weyl.length, engine._perms)), n
+    engine = qhring.RingEngine(7, quantum)
+    rng = random.Random(7)
+    perms = weyl.all_permutations(7)
+    for _ in range(20):
+        engine.product(rng.choice(perms), rng.choice(perms))
+    assert engine._lengths == list(map(weyl.length, engine._perms))
+
+
 def test_products_with_checks_product_invariants(monkeypatch):
     # every product either engine hands out, single or swept, is checked where
     # the engine decodes it

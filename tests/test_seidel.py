@@ -305,6 +305,16 @@ def test_rotation_prefactor_counts_low_values(n):
             assert weyl.lambda_cumulative(weyl.u_up(v, n - k), k) == low, (v, k)
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_pieri_counts_are_column_sums(n):
+    # verify_pieri's counts(w) adds one packed column per position j < n; it
+    # must equal the field-by-field packing of #{j <= i : w(j) <= k}
+    _, pack, counts = seidel._pieri_fields(n)
+    for w in weyl.all_permutations(n):
+        fields = [c for k in range(n) for c in accumulate(x <= k for x in w[:-1])]
+        assert counts(w) == pack(fields), w
+
+
 def test_prefactor_divides_exactly_above_v_n4():
     # by the rank criterion no rotation k gives a negative exponent iff v <= w
     n = 4
