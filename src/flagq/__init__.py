@@ -2,10 +2,7 @@
 
 from .qhring import (
     classical_product,
-    gr_alpha,
     peterson_woodward_lift,
-    psi_alpha,
-    quantum_chevalley,
     quantum_product,
     reduce_trace,
     structure_constant,
@@ -15,13 +12,10 @@ from .ktheory import k_cup_special, pi_star, qk_conjecture_product
 
 __all__ = [
     "classical_product",
-    "gr_alpha",
     "k_cup_special",
     "peterson_woodward_lift",
     "pi_star",
-    "psi_alpha",
     "qk_conjecture_product",
-    "quantum_chevalley",
     "quantum_pieri",
     "quantum_product",
     "reduce_trace",

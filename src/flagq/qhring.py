@@ -4,15 +4,15 @@ Elements are sparse maps (degree vector, permutation) -> integer
 coefficient.  Every rule is read off the quantum Bruhat graph, whose edges
 at a position r come from one scan per side (_left_edges, _right_edges),
 each edge with its moved permutation: the quantum Monk operators X_r of
-Fomin, Gelfand and Postnikov (RingEngine._monk), the quantum Chevalley
-operators of the divisors s_i, and the divisor s_{n-1} in H* and in K, whose
-powers are the hook products.  The Lascoux-Schutzenberger transition step
-writes every sigma^w != sigma^id as X_r sigma^v plus classes that are
-shorter, or as long and lexicographically larger, and products follow by a
-memoized integer recursion on the expanded factor w, sigma^w * sigma^z =
-X_r (sigma^v * sigma^z) + rest * sigma^z, in which a term is one int and a
-q-shift an int addition (RingEngine).  A memo lives for one product or one
-sweep; every product is checked as it is decoded.
+Fomin, Gelfand and Postnikov (RingEngine._monk), and the divisor s_{n-1}
+in H* and in K, whose powers are the hook products.  The
+Lascoux-Schutzenberger transition step writes every sigma^w != sigma^id as
+X_r sigma^v plus classes that are shorter, or as long and lexicographically
+larger, and products follow by a memoized integer recursion on the
+expanded factor w, sigma^w * sigma^z = X_r (sigma^v * sigma^z) + rest *
+sigma^z, in which a term is one int and a q-shift an int addition
+(RingEngine).  A memo lives for one product or one sweep; every product is
+checked as it is decoded.
 
 The same recursion with the quantum terms switched off yields the classical
 cup product, which agrees with the q=0 truncation of the quantum product.
@@ -30,17 +30,10 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 from . import rootsys, weyl
 from .polynomials import accumulate
 from .reporting import VerifyReport
-from .weyl import DegreeVector, Permutation, identity, length, sgn_alpha, swap
+from .weyl import DegreeVector, Permutation, identity, length, swap
 
 # a QClass: finite formal sum of coefficients on (degree, permutation) pairs
 QClass = dict[tuple[DegreeVector, Permutation], int]
-
-
-def qclass(u: Permutation, lam: Optional[DegreeVector] = None) -> QClass:
-    n = len(u)
-    if lam is None:
-        lam = rootsys.zero_degree(n)
-    return {(lam, u): 1}
 
 
 # --- quantum Bruhat edges and the divisor s_{n-1} ---------------------------
@@ -184,34 +177,11 @@ def divisor_power(m: int, v: Permutation, moves) -> QClass:
 
 # --- transition engine ------------------------------------------------------
 
-def quantum_chevalley(i: int, c: QClass, n: int, quantum: bool = True) -> QClass:
-    """Multiply a class by the divisor sigma^{s_i}, extending linearly.
-
-    The quantum Chevalley formula: sigma^{s_i} * sigma^w is the sum of
-    sigma^{w t_ab} over the quantum Bruhat edges w -> w t_ab with
-    a <= i < b (_right_edges of each a), times q^{gamma^vee},
-    gamma = e_a - e_b, when the edge is quantum.
-    """
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"simple index {i} out of range for n={n}")
-    out: QClass = {}
-    accumulate(out, (
-        ((rootsys.add_degrees(lam, _coroot((a, b), n)) if q else lam, y), coeff)
-        for (lam, w), coeff in c.items()
-        for a in range(1, i + 1)
-        for b, q, y in _right_edges(w, a)
-        if b > i and (quantum or not q)
-    ))
-    return out
-
-
 # memoized helpers of the recursion; the degree ones also hand out one shared
-# tuple per value, so that move lists and classes do not each hold a copy
+# tuple per value, so that classes do not each hold a copy
 _zero = lru_cache(maxsize=None)(rootsys.zero_degree)
-_coroot = lru_cache(maxsize=None)(rootsys.coroot)
 
 
-@lru_cache(maxsize=None)
 def _code(lam: DegreeVector) -> int:
     """The lam_i as the digits of one int in base n(n-1)/2 + 1, lam_1 lowest (RingEngine)."""
     base = len(lam) * (len(lam) + 1) // 2 + 1
@@ -229,9 +199,10 @@ def _degree(code: int, n: int) -> tuple[DegreeVector, Optional[int]]:
 class RingEngine:
     """Per-rank product engine: integer transition recursion, memoized.
 
-    With (r, v, rest) the transition step of w, sigma^w = X_r sigma^v + rest,
-    where X_r is the product with sigma^{s_r} - sigma^{s_{r-1}}, and the
-    product is commutative and associative, so sigma^w * sigma^z =
+    With (r, v) the transition step of w, sigma^w = X_r sigma^v + rest,
+    where X_r is the product with sigma^{s_r} - sigma^{s_{r-1}} and rest is
+    minus the terms of X_r sigma^v other than sigma^w, and the product is
+    commutative and associative, so sigma^w * sigma^z =
     X_r (sigma^v * sigma^z) + rest * sigma^z.  _mul expands w into the
     sub-calls (v, z) and (y, z), y a rest term, each one step down w's
     transition recursion, which ends; every sub-call keeps z, so a memo of
@@ -239,11 +210,12 @@ class RingEngine:
     lives for one call: ``product`` gives _mul a fresh one and expands the
     factor first in (length, one-line) order, and ``products_with`` expands
     each u of a sweep against one kept z from a memo that is freed with the
-    sweep.  So the engine keeps only its interning, with each length, and its
-    move and transition tables, at most n! n entries, and every product it
-    hands out is checked term by term where it is decoded (_decode).  A
-    permutation first met through a move comes with its length, read off the
-    move (_monk, _transition); only the factors from outside are counted.
+    sweep.  So the engine keeps only its interning, with each length, its
+    Monk lists, one per (index, r) and at most n! n, and one (r, v) per
+    transition, and every product it hands out is checked term by term
+    where it is decoded (_decode).  A permutation first met through a move
+    comes with its length, read off the move (_monk, _transition); only the
+    factors from outside are counted.
     ``quantum=False`` gives the classical cup-product engine.
 
     A term q^lam sigma^w is one int, (_code(lam) << bits) | index(w), with
@@ -264,9 +236,9 @@ class RingEngine:
         self._index: dict[Permutation, int] = {}
         self._perms: list[Permutation] = []
         self._lengths: list[int] = []  # l(w) by index, for _decode
-        self._shifts = {ab: _code(_coroot(ab, n)) << bits for ab in rootsys.positive_roots(n)}
+        self._shifts = {g: _code(rootsys.coroot(g, n)) << bits for g in rootsys.positive_roots(n)}
         self._moves: dict[int, tuple] = {}  # index * n + r -> X_r on it (_monk)
-        self._transitions: dict[int, tuple] = {}  # index -> its transition step (_transition)
+        self._transitions: dict[int, tuple[int, int]] = {}  # index -> (r, v) (_transition)
         self._identity = self._intern(identity(n))
 
     def product(self, u: Permutation, v: Permutation) -> QClass:
@@ -333,18 +305,18 @@ class RingEngine:
                 out.append((-1, shifts[a, r] if q else 0, intern(y, ell + 1 - 2 * (r - a) * q)))
         return tuple(out)
 
-    def _transition(self, w: int) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
-        """(r, v, rest) with sigma^w = X_r sigma^v + rest, for w != id.
+    def _transition(self, w: int) -> tuple[int, int]:
+        """(r, v) with sigma^w = X_r sigma^v + rest, for w != id.
 
         The Lascoux-Schutzenberger step: r is the last descent of w, s the
         largest position after r with w(s) < w(r), and v = w t_{rs}.  Among the
-        terms of X_r sigma^v (_monk, read from _moves where _mul built it) the
-        only classical (r, b) move is w itself, so rest is minus every other
-        term: the sigma^{v t_{ar}} with a < r, and the q-terms.  Each rest term
-        is shorter than w, or as long and lexicographically larger, so the
-        recursion on it ends.  w covers v, so l(v) = l(w) - 1.  r and s are
-        found walking back from n: w increases after r, so the walk for s stops
-        at the first value below w(r).
+        terms of X_r sigma^v (_monk) the only classical (r, b) move is w
+        itself, so rest is minus every other term: the sigma^{v t_{ar}} with
+        a < r, and the q-terms, which _mul reads off the Monk list of v at r.
+        Each rest term is shorter than w, or as long and lexicographically
+        larger, so the recursion on it ends.  w covers v, so l(v) = l(w) - 1.
+        r and s are found walking back from n: w increases after r, so the
+        walk for s stops at the first value below w(r).
         """
         x = self._perms[w]
         r, s = self.n - 1, self.n
@@ -354,13 +326,16 @@ class RingEngine:
             s -= 1
         v = list(x)
         v[r - 1], v[s - 1] = x[s - 1], x[r - 1]
-        v = self._intern(tuple(v), self._lengths[w] - 1)
-        moves = self._moves.get(v * self.n + r) or self._monk(v, r)  # never empty: it holds w
-        rest = tuple((-sign, shift, y) for sign, shift, y in moves if shift or y != w)
-        return r, v, rest
+        return r, self._intern(tuple(v), self._lengths[w] - 1)
 
     def _mul(self, w: int, z: int, memo: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-        """sigma^w * sigma^z as a flat (term, coeff, ...) tuple, no coeff zero; memo is z's."""
+        """sigma^w * sigma^z as a flat (term, coeff, ...) tuple, no coeff zero; memo is z's.
+
+        Each Monk list X_r sigma^i is built once per engine, where first
+        needed, and stored in _moves: for the terms i of sigma^v * sigma^z,
+        and for v itself, whose list gives rest (sigma^w skipped, each sign
+        negated).
+        """
         got = memo.get(w)
         if got is not None:
             return got
@@ -369,7 +344,7 @@ class RingEngine:
         else:
             if w not in self._transitions:
                 self._transitions[w] = self._transition(w)
-            r, v, rest = self._transitions[w]
+            r, v = self._transitions[w]
             n, mask, moves = self.n, (1 << self._bits) - 1, self._moves
             out: dict[int, int] = {}
             get = out.get
@@ -383,11 +358,15 @@ class RingEngine:
                 for sign, shift, x in terms:
                     x += t + shift
                     out[x] = get(x, 0) + sign * c
-            for sign, shift, y in rest:  # rest * sigma^z
-                it = iter(self._mul(y, z, memo))
-                for t, c in zip(it, it):
-                    t += shift
-                    out[t] = get(t, 0) + sign * c
+            terms = moves.get(v * n + r)
+            if terms is None:
+                terms = moves[v * n + r] = self._monk(v, r)
+            for sign, shift, y in terms:  # rest * sigma^z
+                if shift or y != w:
+                    it = iter(self._mul(y, z, memo))
+                    for t, c in zip(it, it):
+                        t += shift
+                        out[t] = get(t, 0) - sign * c
             got = tuple(chain.from_iterable(filter(itemgetter(1), out.items())))
         memo[w] = got
         return got
@@ -411,9 +390,9 @@ def classical_product(u: Permutation, v: Permutation) -> QClass:
 
     A separate engine with the quantum terms off, because it is cheaper than
     the q = 0 part of a quantum product: on a 2-vCPU host (Python 3.11) the
-    30 240 hook products of n = 7 take about 0.9-1.0 s at 47 MB peak RSS,
-    against 1.9-2.4 s at 69 MB through the quantum engine, and ``verify
-    ktheory --n 7`` takes 2.7-3.9 s at 53 MB, against 3.7-5.4 s at 74 MB.
+    30 240 hook products of n = 7 take about 1.1-1.3 s at 27 MB peak RSS,
+    against 2.2-2.5 s at 30 MB through the quantum engine, and ``verify
+    ktheory --n 7`` takes 0.67-0.69 s at 27 MB, against 0.89-0.93 s at 34 MB.
     """
     return get_engine(len(u), False).product(u, v)
 
@@ -459,14 +438,15 @@ def check_product_invariants(cls: QClass, degree: int) -> None:
 # --- grading and filtration ------------------------------------------------
 
 def _grades(lam: DegreeVector, w: Permutation) -> list[int]:
-    """sgn_alpha(w, i) + <alpha_i, lam> for i = 1..n-1, each the first part of gr_alpha.
+    """g_i = sgn_alpha(w, i) + <alpha_i, lam> for i = 1..n-1.
 
-    The i-th number decides every alpha_i-grade test of a term q_lam sigma^w
-    of sigma^u * sigma^v.  Both grade pairs sum to l(u) + l(v) by the degree
-    axiom, which the engine checks on every term it decodes (RingEngine._decode),
-    so the lexicographic comparison of gr_alpha(i, lam, w) with
-    gr_alpha(i, 0, u) + gr_alpha(i, 0, v) is the comparison of this component
-    with sgn_alpha(u, i) + sgn_alpha(v, i).  Its excess over that bound is
+    The alpha_i-grade of q_lam sigma^w is the pair (g_i, l(w) + <2 rho, lam> - g_i)
+    in Z^2, ordered lexicographically, and g_i decides every alpha_i-grade
+    test of a term q_lam sigma^w of sigma^u * sigma^v.  Both grade pairs sum
+    to l(u) + l(v) by the degree axiom, which the engine checks on every term
+    it decodes (RingEngine._decode), so comparing the term's grade with the
+    sum of the grades of sigma^u and sigma^v compares g_i with
+    sgn_alpha(u, i) + sgn_alpha(v, i).  Its excess over that bound is
     positive on a term outside the filtration (the vanishing criterion) and
     zero where the grade is additive (a reduction step applies).  The
     numbers are _grades(0, w) + _grades(lam, id) (verify_filtration).
@@ -475,14 +455,6 @@ def _grades(lam: DegreeVector, w: Permutation) -> list[int]:
     return [
         (w[i - 1] > w[i]) + 2 * ext[i] - ext[i - 1] - ext[i + 1] for i in range(1, len(w))
     ]
-
-
-def gr_alpha(i: int, lam: DegreeVector, w: Permutation) -> tuple[int, int]:
-    """Z^2-grade of q_lam sigma^w with respect to the simple root alpha_i."""
-    if not 1 <= i <= len(w) - 1:
-        raise ValueError(f"simple root index {i} out of range")
-    a = _grades(lam, w)[i - 1]
-    return (a, length(w) + rootsys.pair_2rho(lam) - a)
 
 
 def verify_filtration(n: int) -> list[VerifyReport]:
@@ -597,24 +569,10 @@ def _fibre_member(
     e + <alpha_i, lam> + 2t since <alpha_i, alpha_i^vee> = 2, so with
     d = s - <alpha_i, lam> its member of grade s has e = d mod 2 and
     t = floor(d/2).  alpha_i^vee is the i-th unit vector of the coroot basis.
+    The grade-0 member is the Peterson-Woodward lift for Delta_P = {i}.
     """
     t, e = divmod(s - rootsys.pair_root(i, lam), 2)
     return lam[: i - 1] + (lam[i - 1] + t,) + lam[i:], swap(w, i) if e else w
-
-
-def psi_alpha(
-    i: int, lam_p: DegreeVector, w: Permutation
-) -> tuple[DegreeVector, Permutation]:
-    """Injection QH*(G/P_{alpha_i}) -> QH*(G/B): q_{lam_P} sigma^w -> q_{lam_B} sigma^{w w_P w_{P'}}.
-
-    ``lam_p`` is any representative of the class modulo Z alpha_i^vee.  The
-    Peterson-Woodward lift for Delta_P = {i} is the grade-0 member of the
-    fibre (_fibre_member, s = 0): <alpha_i, lam_B> is 0 or -1, and w_{P'} is
-    s_i exactly when it is 0.  So lam_P = 0 maps the identity to itself.
-    """
-    if sgn_alpha(w, i):
-        raise ValueError(f"{w} is not a minimal coset representative for P_alpha_{i}")
-    return _fibre_member(i, lam_p, w, 0)
 
 
 # --- quantum -> classical reduction ----------------------------------------

@@ -45,13 +45,6 @@ def multiply(u: Permutation, v: Permutation) -> Permutation:
     return tuple(u[v[x] - 1] for x in range(len(u)))
 
 
-def inverse(u: Permutation) -> Permutation:
-    out = [0] * len(u)
-    for x, ux in enumerate(u, start=1):
-        out[ux - 1] = x
-    return tuple(out)
-
-
 def length(u: Permutation) -> int:
     """Number of inversions of u."""
     n = len(u)

@@ -4,10 +4,11 @@ This is the product engine flagq used before the integer transition
 recursion: it expands a Schubert class as an exact rational combination of
 Chevalley words applied to the identity class, by Gaussian elimination over
 ``Fraction``, and multiplies by applying those words to the other factor.
-It shares only the quantum Chevalley formula with ``flagq.qhring``, so it
-cross-checks the transition engine independently.  Its cost grows about six
-times per degree at n = 5, so the tests use it at n <= 4 and on n = 5 pairs
-whose shorter factor is short.
+Its Chevalley products come from the length-based move lists of
+``moves_oracle``, so it shares no code with ``flagq.qhring``'s engine and
+only the quantum Chevalley formula with its mathematics.  Its cost grows
+about six times per degree at n = 5, so the tests use it at n <= 4 and on
+n = 5 pairs whose shorter factor is short.
 """
 from __future__ import annotations
 
@@ -17,8 +18,9 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from flagq import rootsys
-from flagq.qhring import QClass, qclass, quantum_chevalley
+from flagq.qhring import QClass
 from flagq.weyl import DegreeVector, Permutation, identity, length
+from moves_oracle import chevalley_product
 
 
 class NotInSpanError(RuntimeError):
@@ -39,7 +41,7 @@ class RingEngine:
         self.quantum = quantum
         # degree -> list of (word, class); words are prefix-closed across degrees
         self._word_basis: dict[int, list[tuple[tuple[int, ...], QClass]]] = {
-            0: [((), qclass(identity(n)))]
+            0: [((), {(rootsys.zero_degree(n), identity(n)): 1})]
         }
         # degree -> elimination rows (pivot, vec, combo)
         self._rows: dict[int, list] = {}
@@ -52,7 +54,7 @@ class RingEngine:
             kept = []
             for word, cls in self._word_basis[dd - 1]:
                 for i in range(1, self.n):
-                    nc = quantum_chevalley(i, cls, self.n, self.quantum)
+                    nc = chevalley_product(i, cls, self.quantum)
                     vec = {k: Fraction(c) for k, c in nc.items()}
                     _eliminate(vec, rows)
                     if vec:
@@ -119,7 +121,7 @@ class RingEngine:
 
     def apply_word(self, word: Sequence[int], cls: QClass) -> QClass:
         for i in word:
-            cls = quantum_chevalley(i, cls, self.n, self.quantum)
+            cls = chevalley_product(i, cls, self.quantum)
         return cls
 
     def product(self, u: Permutation, v: Permutation) -> QClass:
@@ -129,16 +131,14 @@ class RingEngine:
         if length(u) > length(v):
             u, v = v, u
         expansion = self.expand_in_generators(u)
-        base = qclass(v)
+        base = {(rootsys.zero_degree(self.n), v): 1}
         # shared-prefix evaluation: the expansion words are prefix-closed
         cache: dict[tuple[int, ...], QClass] = {(): base}
 
         def word_class(word: tuple[int, ...]) -> QClass:
             if word in cache:
                 return cache[word]
-            cls = quantum_chevalley(
-                word[-1], word_class(word[:-1]), self.n, self.quantum
-            )
+            cls = chevalley_product(word[-1], word_class(word[:-1]), self.quantum)
             cache[word] = cls
             return cls
 

@@ -5,15 +5,18 @@ quantum Bruhat edge test: ``chevalley_moves`` finds each edge by a full
 inversion count of w and of w t_ab, and ``monk_moves`` builds both Chevalley
 lists of X_r = sigma^{s_r} - sigma^{s_{r-1}} and keeps the moves that do not
 cancel.  They share no shortcut with ``flagq.qhring``'s move lists.
-``transition`` is the Lascoux-Schutzenberger step read off ``monk_moves``,
-the step the tuple-coded engine oracle and the ring-axiom properties expand.
+``chevalley_product`` applies the Chevalley lists to a class, the divisor
+products of the elimination oracle.  ``transition`` is the
+Lascoux-Schutzenberger step read off ``monk_moves``, the step the
+tuple-coded engine oracle and the ring-axiom properties expand.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Optional
 
-from flagq.rootsys import Root, coroot, zero_degree
+from flagq.qhring import QClass
+from flagq.rootsys import Root, add_degrees, coroot, zero_degree
 from flagq.weyl import DegreeVector, Permutation, length
 
 
@@ -42,6 +45,19 @@ def chevalley_moves(
             elif quantum and d == 1 - 2 * (b - a):
                 out.append(((a, b), wp))
     return tuple(out)
+
+
+def chevalley_product(i: int, cls: QClass, quantum: bool = True) -> QClass:
+    """sigma^{s_i} * cls, the class's terms moved by chevalley_moves, no coefficient zero.
+
+    A quantum move over gamma raises the degree of its term by gamma^vee.
+    """
+    out: QClass = {}
+    for (lam, w), c in cls.items():
+        for gamma, wp in chevalley_moves(w, i, quantum):
+            key = (lam if gamma is None else add_degrees(lam, coroot(gamma, len(w))), wp)
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
 
 @lru_cache(maxsize=None)

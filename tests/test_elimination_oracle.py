@@ -54,7 +54,7 @@ def test_expand_in_generators_reapplies():
     for u in [sigma([2, 1], n), sigma([1, 3, 2], n), tuple(range(n, 0, -1))]:
         acc = {}
         for mu, word, coeff in engine.expand_in_generators(u):
-            cls = engine.apply_word(word, qhring.qclass(weyl.identity(n)))
+            cls = engine.apply_word(word, {(rootsys.zero_degree(n), weyl.identity(n)): 1})
             for (lam, w), c in cls.items():
                 key = (rootsys.add_degrees(lam, mu), w)
                 acc[key] = acc.get(key, 0) + coeff * c

@@ -1,11 +1,14 @@
+import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 import filtration_oracle
+import moves_oracle
 import plants
-from flagq import polynomials, qhring, rootsys, weyl
+from flagq import ktheory, polynomials, qhring, rootsys, seidel, weyl
 
 
 def qp(u, v):
@@ -21,7 +24,7 @@ def sigma(word, n):
 def test_chevalley_on_identity():
     n = 4
     for i in range(1, n):
-        out = qhring.quantum_chevalley(i, qhring.qclass(weyl.identity(n)), n)
+        out = qp(weyl.simple_reflection(i, n), weyl.identity(n))
         assert out == {((0, 0, 0), weyl.simple_reflection(i, n)): 1}
 
 
@@ -30,7 +33,7 @@ def test_chevalley_fl3_quantum_term():
     # two roots gamma with <chi_1, gamma^vee> = 1 and both length conditions.
     n = 3
     u = sigma([2, 1], n)
-    out = qhring.quantum_chevalley(1, qhring.qclass(u), n)
+    out = qp(weyl.simple_reflection(1, n), u)
     assert out.get(((1, 0), weyl.simple_reflection(2, n))) == 1
     expected = {}
     for gamma in rootsys.positive_roots(n):
@@ -53,8 +56,7 @@ def test_chevalley_fl3_quantum_term():
 
 def test_chevalley_degree_axiom():
     n = 4
-    c = qhring.qclass(sigma([2, 1, 3], n))
-    out = qhring.quantum_chevalley(2, c, n)
+    out = qp(weyl.simple_reflection(2, n), sigma([2, 1, 3], n))
     for (lam, w) in out:
         assert weyl.length(w) + rootsys.pair_2rho(lam) == 4
 
@@ -209,6 +211,31 @@ def test_engine_lengths_come_with_each_move(quantum):
     assert engine._lengths == list(map(weyl.length, engine._perms))
 
 
+def test_each_monk_list_is_built_once_per_engine(monkeypatch):
+    # X_r sigma^v gives both the rest of the transition steps (r, v) and the
+    # X_r terms of products; each (index, r) list is built once per engine,
+    # stored in _moves, and a transition step keeps only its (r, v) pair.
+    # Fresh engines, so that no earlier test has filled their tables
+    built = Counter()
+    monk = qhring.RingEngine._monk
+
+    def counted(self, z, r):
+        built[self, z, r] += 1
+        return monk(self, z, r)
+
+    monkeypatch.setattr(qhring.RingEngine, "_monk", counted)
+    monkeypatch.setattr(qhring, "_engines", functools.lru_cache(maxsize=None)(qhring.RingEngine))
+    assert seidel.verify_seidel(6).ok
+    assert ktheory.k_verify(5).ok  # a classical sweep
+    repeats = sum(k - 1 for k in built.values())
+    assert not repeats, f"{repeats} of {sum(built.values())} _monk calls repeat"
+    engines = {engine for engine, _, _ in built}
+    assert {(engine.n, engine.quantum) for engine in engines} == {(6, True), (5, False)}
+    for engine in engines:
+        steps = engine._transitions.values()
+        assert {tuple(map(type, step)) for step in steps} == {(int, int)}, engine.n
+
+
 def test_products_with_checks_product_invariants(monkeypatch):
     # every product either engine hands out, single or swept, is checked where
     # the engine decodes it
@@ -247,14 +274,17 @@ def test_grades_split_into_descents_and_pairings():
 
 
 def test_associativity_with_divisors(s4_table):
+    # sigma^{s_i} * (sigma^u * sigma^v) = sigma^u * (sigma^{s_i} * sigma^v), the
+    # divisor products from the length-based Chevalley lists
     n = 4
     perms = weyl.all_permutations(n)
+    zero = rootsys.zero_degree(n)
     for u in perms:
         for v in perms:
             uv = s4_table[(u, v)]
             for i in range(1, n):
-                lhs = qhring.quantum_chevalley(i, uv, n)
-                vsi = qhring.quantum_chevalley(i, qhring.qclass(v), n)
+                lhs = moves_oracle.chevalley_product(i, uv)
+                vsi = moves_oracle.chevalley_product(i, {(zero, v): 1})
                 rhs = {}
                 for (lam, w), c in vsi.items():
                     for (lam2, w2), c2 in s4_table[(u, w)].items():
@@ -319,23 +349,6 @@ def test_structure_constant():
 
 # --- grading and filtration -------------------------------------------------
 
-def test_gr_alpha_values():
-    n = 4
-    zero = rootsys.zero_degree(n)
-    for i in range(1, n):
-        assert qhring.gr_alpha(i, zero, weyl.simple_reflection(i, n)) == (1, 0)
-        assert qhring.gr_alpha(i, zero, weyl.identity(n)) == (0, 0)
-        assert qhring.gr_alpha(i, rootsys.coroot((i, i + 1), n), weyl.identity(n)) == (2, 0)
-    for i in (0, n):
-        with pytest.raises(ValueError):
-            qhring.gr_alpha(i, zero, weyl.identity(n))
-    # components always sum to the total degree
-    for u in weyl.all_permutations(4):
-        for lam in [(0, 0, 0), (1, 0, 2)]:
-            a, b = qhring.gr_alpha(2, lam, u)
-            assert a + b == weyl.length(u) + rootsys.pair_2rho(lam)
-
-
 def test_filtration_n3_full():
     reports = qhring.verify_filtration(3)
     assert len(reports) == 2
@@ -373,14 +386,20 @@ def test_filtration_reports_planted_violation(monkeypatch):
 
 
 def test_grade_additivity_iff_conditions(s4_table):
-    # gr additivity on a product term holds iff the degree and sgn conditions do
+    # the alpha_i-grade of q_lam sigma^w is (g, l(w) + <2 rho, lam> - g), g its
+    # _grades entry; additivity on a product term holds iff the degree and sgn
+    # conditions do
     n, i = 4, 2
     zero = rootsys.zero_degree(n)
     perms = weyl.all_permutations(n)
+
+    def grade(lam, w):
+        g = qhring._grades(lam, w)[i - 1]
+        return g, weyl.length(w) + rootsys.pair_2rho(lam) - g
+
     for u in perms[::4]:
         for v in perms[::4]:
-            gu = qhring.gr_alpha(i, zero, u)
-            gv = qhring.gr_alpha(i, zero, v)
+            gu, gv = grade(zero, u), grade(zero, v)
             for (lam, w) in s4_table[(u, v)]:
                 cond1 = (
                     weyl.length(w) + rootsys.pair_2rho(lam)
@@ -389,7 +408,7 @@ def test_grade_additivity_iff_conditions(s4_table):
                 cond2 = weyl.sgn_alpha(w, i) + rootsys.pair_root(i, lam) == (
                     weyl.sgn_alpha(u, i) + weyl.sgn_alpha(v, i)
                 )
-                additive = (gu[0] + gv[0], gu[1] + gv[1]) == qhring.gr_alpha(i, lam, w)
+                additive = (gu[0] + gv[0], gu[1] + gv[1]) == grade(lam, w)
                 assert additive == (cond1 and cond2)
 
 
@@ -466,17 +485,17 @@ def test_pw_constructive_equals_brute_force(n):
 
 
 def test_psi_alpha():
+    # psi_alpha, the injection QH*(G/P_{alpha_i}) -> QH*(G/B), is the grade-0
+    # member of the P^1 fibre
     n = 3
     zero = rootsys.zero_degree(n)
     # lambda_P = 0 maps the identity class to the identity class
-    assert qhring.psi_alpha(1, zero, weyl.identity(n)) == (zero, weyl.identity(n))
+    assert qhring._fibre_member(1, zero, weyl.identity(n), 0) == (zero, weyl.identity(n))
     # nonzero case from the PW example
-    assert qhring.psi_alpha(1, (0, 1), weyl.identity(n)) == (
+    assert qhring._fibre_member(1, (0, 1), weyl.identity(n), 0) == (
         (0, 1),
         weyl.simple_reflection(1, n),
     )
-    with pytest.raises(ValueError):
-        qhring.psi_alpha(1, zero, weyl.simple_reflection(1, n))
 
 
 def test_psi_alpha_injective_n3():
@@ -486,7 +505,7 @@ def test_psi_alpha_injective_n3():
         reps = [u for u in weyl.all_permutations(n) if weyl.sgn_alpha(u, i) == 0]
         for u in reps:
             for lam in itertools.product(range(3), repeat=n - 1):
-                images.add(qhring.psi_alpha(i, lam, u))
+                images.add(qhring._fibre_member(i, lam, u, 0))
         # representatives of the same class mod Z alpha_i^vee share one image:
         # 3 classes survive from the 3 x 3 sampled box
         assert len(images) == len(reps) * 3
@@ -504,7 +523,9 @@ def test_psi_alpha_matches_pw_lift():
                 lift = qhring.peterson_woodward_lift(lam, (i,))
                 for w in mins:
                     w_b = w if i in lift.delta_P_prime else weyl.swap(w, i)
-                    assert qhring.psi_alpha(i, lam, w) == (lift.lambda_B, w_b), (i, lam, w)
+                    assert qhring._fibre_member(i, lam, w, 0) == (lift.lambda_B, w_b), (
+                        i, lam, w
+                    )
                     cases += 1
     assert cases == 319038
 

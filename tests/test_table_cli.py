@@ -467,6 +467,15 @@ def test_cli_import_loads_what_the_benchmark_checker_reads():
     assert r.stdout == "[]\n"
 
 
+def test_star_import_resolves_every_public_name():
+    # every name in flagq.__all__ exists, so `from flagq import *` succeeds
+    namespace = {}
+    exec("from flagq import *", namespace)
+    import flagq
+
+    assert flagq.__all__ and all(name in namespace for name in flagq.__all__)
+
+
 def test_cli_qk_empty_projection(capsys):
     # at n = 2 the empty Delta_P is the one valid projection, to Gr(1, 2)
     assert cli.main(["qk-conjecture", "--n", "2", "--hook", "1", "--u", "21",

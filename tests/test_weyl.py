@@ -35,13 +35,6 @@ def test_right_multiplication_swaps_positions():
             assert weyl.swap(u, i) == weyl.multiply(u, weyl.simple_reflection(i, 4))
 
 
-@given(perm_any)
-def test_inverse(u):
-    n = len(u)
-    assert weyl.multiply(u, weyl.inverse(u)) == weyl.identity(n)
-    assert weyl.length(weyl.inverse(u)) == weyl.length(u)
-
-
 @given(perm5, st.integers(1, 4))
 def test_length_changes_by_one(u, i):
     assert abs(weyl.length(weyl.multiply(u, weyl.simple_reflection(i, 5))) - weyl.length(u)) == 1

