@@ -41,9 +41,10 @@ QClass = dict[tuple[DegreeVector, Permutation], int]
 # one object per permutation reached by a divisor move, shared by the move
 # lists of _divisor_moves and _k_divisor_moves
 _perms: dict[Permutation, Permutation] = {}
+Edge = tuple[int, bool, Permutation]  # (the other position, quantum, moved permutation)
 
 
-def _left_edges(w: Permutation, r: int, lo: int = 1) -> list[tuple[int, bool, Permutation]]:
+def _left_edges(w: Permutation, r: int, lo: int = 1, quantum: bool = True) -> list[Edge]:
     """The quantum Bruhat edges w -> w t_ar, lo <= a < r, as (a, quantum, w t_ar), a rising.
 
     Swapping w(a) and w(b) (a < b) flips the pair (a, b) itself and, for
@@ -56,7 +57,8 @@ def _left_edges(w: Permutation, r: int, lo: int = 1) -> list[tuple[int, bool, Pe
     passed above it.  (a, r) is a cover when below < w(a) < y, and a quantum
     edge when w(a) > y, nothing below y was passed and w(a) exceeds every
     value passed.  The scan holds both values of the swap, so each edge
-    carries the moved permutation.
+    carries the moved permutation; ``quantum=False`` skips the quantum edges
+    and builds none of their permutations.
     """
     y = w[r - 1]
     below = above = 0
@@ -72,7 +74,7 @@ def _left_edges(w: Permutation, r: int, lo: int = 1) -> list[tuple[int, bool, Pe
                 moved[a - 1] = x
                 below = x
         elif x > above:
-            if not below:
+            if quantum and not below:
                 moved[a - 1], moved[r - 1] = y, x
                 out.append((a, True, tuple(moved)))
                 moved[a - 1] = x
@@ -81,13 +83,13 @@ def _left_edges(w: Permutation, r: int, lo: int = 1) -> list[tuple[int, bool, Pe
     return out
 
 
-def _right_edges(w: Permutation, r: int) -> list[tuple[int, bool, Permutation]]:
+def _right_edges(w: Permutation, r: int, quantum: bool = True) -> list[Edge]:
     """The edges w -> w t_rb, r < b <= n, as (b, quantum, w t_rb), b rising.
 
     The mirror of _left_edges: with x = w(r), one upward scan keeps the
     least value passed above x and the least passed below it.  (r, b) is a
     cover when x < w(b) < above, and a quantum edge when w(b) < x, nothing
-    above x was passed and w(b) is below every value passed.
+    above x was passed and w(b) is below every value passed; ``quantum`` as there.
     """
     n = len(w)
     x = w[r - 1]
@@ -102,7 +104,7 @@ def _right_edges(w: Permutation, r: int) -> list[tuple[int, bool, Permutation]]:
                 moved[b - 1] = z
                 above = z
         elif z < below:
-            if above > n:
+            if quantum and above > n:
                 moved[r - 1], moved[b - 1] = z, x
                 out.append((b, True, tuple(moved)))
                 moved[b - 1] = z
@@ -118,9 +120,7 @@ def _divisor_moves(w: Permutation) -> tuple[tuple[Permutation, int], ...]:
     with w -> w t_{an} a Bruhat cover (_left_edges), the one-step chains of
     _k_divisor_moves.
     """
-    return tuple(
-        (_perms.setdefault(y, y), 1) for _, quantum, y in _left_edges(w, len(w)) if not quantum
-    )
+    return tuple((_perms.setdefault(y, y), 1) for _, _, y in _left_edges(w, len(w), quantum=False))
 
 
 @lru_cache(maxsize=None)
@@ -139,11 +139,10 @@ def _k_divisor_moves(w: Permutation) -> tuple[tuple[Permutation, int], ...]:
     chains = [(w, 1, 1)]  # (end of a chain, least next a, sign of the next step)
     while chains:
         x, lo, sign = chains.pop()
-        for a, quantum, y in _left_edges(x, n, lo):
-            if not quantum:
-                y = _perms.setdefault(y, y)
-                out.append((y, sign))
-                chains.append((y, a + 1, -sign))
+        for a, _, y in _left_edges(x, n, lo, quantum=False):
+            y = _perms.setdefault(y, y)
+            out.append((y, sign))
+            chains.append((y, a + 1, -sign))
     return tuple(out)
 
 
@@ -233,6 +232,7 @@ class RingEngine:
         self.n = n
         self.quantum = quantum
         self._bits = bits = factorial(n).bit_length()
+        self._mask = (1 << bits) - 1  # a term's index(w) bits
         self._index: dict[Permutation, int] = {}
         self._perms: list[Permutation] = []
         self._lengths: list[int] = []  # l(w) by index, for _decode
@@ -256,8 +256,7 @@ class RingEngine:
 
     def _decode(self, terms: tuple[int, ...], degree: int) -> QClass:
         """A product's flat (term, coeff, ...) tuple as a fresh QClass, each term checked."""
-        n, bits, mask = self.n, self._bits, (1 << self._bits) - 1
-        perms, lengths = self._perms, self._lengths
+        n, bits, mask, perms, lengths = self.n, self._bits, self._mask, self._perms, self._lengths
         out, it = {}, iter(terms)
         for t, c in zip(it, it):
             i = t & mask
@@ -293,16 +292,21 @@ class RingEngine:
         classical when w(a) < w(b) and no c in (a, b) has w(c) between them,
         quantum (degree gamma^vee) when w(a) > w(b) and every such c does.
         Each edge brings its moved permutation, of length l(w) + 1, less
-        2(b - a) on a quantum edge.
+        2(b - a) on a quantum edge; only a permutation new to the engine
+        needs it (_intern).
         """
-        w, ell, shifts, intern = self._perms[z], self._lengths[z], self._shifts, self._intern
+        w, ell, shifts, index = self._perms[z], self._lengths[z], self._shifts, self._index
         out = []
-        for b, q, y in _right_edges(w, r):
-            if self.quantum or not q:
-                out.append((1, shifts[r, b] if q else 0, intern(y, ell + 1 - 2 * (b - r) * q)))
-        for a, q, y in _left_edges(w, r):
-            if self.quantum or not q:
-                out.append((-1, shifts[a, r] if q else 0, intern(y, ell + 1 - 2 * (r - a) * q)))
+        for b, q, y in _right_edges(w, r, self.quantum):
+            i = index.get(y)
+            if i is None:
+                i = self._intern(y, ell + 1 - 2 * (b - r) * q)
+            out.append((1, shifts[r, b] if q else 0, i))
+        for a, q, y in _left_edges(w, r, 1, self.quantum):
+            i = index.get(y)
+            if i is None:
+                i = self._intern(y, ell + 1 - 2 * (r - a) * q)
+            out.append((-1, shifts[a, r] if q else 0, i))
         return tuple(out)
 
     def _transition(self, w: int) -> tuple[int, int]:
@@ -334,7 +338,8 @@ class RingEngine:
         Each Monk list X_r sigma^i is built once per engine, where first
         needed, and stored in _moves: for the terms i of sigma^v * sigma^z,
         and for v itself, whose list gives rest (sigma^w skipped, each sign
-        negated).
+        negated).  A sub-product already in the memo is read there, so every
+        call _mul makes of itself is a miss.
         """
         got = memo.get(w)
         if got is not None:
@@ -342,13 +347,15 @@ class RingEngine:
         if w == self._identity:
             got = (z, 1)
         else:
-            if w not in self._transitions:
-                self._transitions[w] = self._transition(w)
-            r, v = self._transitions[w]
-            n, mask, moves = self.n, (1 << self._bits) - 1, self._moves
+            step = self._transitions.get(w)
+            if step is None:
+                step = self._transitions[w] = self._transition(w)
+            r, v = step
+            n, mask, moves = self.n, self._mask, self._moves
             out: dict[int, int] = {}
             get = out.get
-            it = iter(self._mul(v, z, memo))
+            got = memo.get(v)
+            it = iter(self._mul(v, z, memo) if got is None else got)
             for t, c in zip(it, it):  # X_r (sigma^v * sigma^z), one term t at a time
                 i = t & mask
                 terms = moves.get(i * n + r)
@@ -363,7 +370,8 @@ class RingEngine:
                 terms = moves[v * n + r] = self._monk(v, r)
             for sign, shift, y in terms:  # rest * sigma^z
                 if shift or y != w:
-                    it = iter(self._mul(y, z, memo))
+                    got = memo.get(y)
+                    it = iter(self._mul(y, z, memo) if got is None else got)
                     for t, c in zip(it, it):
                         t += shift
                         out[t] = get(t, 0) - sign * c

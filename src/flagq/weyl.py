@@ -89,7 +89,7 @@ def descent_set(u: Permutation) -> tuple[int, ...]:
 # p = u^{-1}(n): T raises degree by n-1, and l(u^1) - l(u) = 2p - n - 1 since
 # only the pairs containing the value n change, so an interval ending at n-1
 # must start at p.  It is zero exactly when p = n; lambda_cumulative(u, 1)
-# gives it.
+# gives it, and seidel.seidel_apply reads it once per position of n.
 
 def canonical_factorization(u: Permutation) -> tuple[int, ...]:
     """The exponent sequence (j_1, ..., j_{n-1}) of the canonical factorization."""

@@ -49,14 +49,16 @@ def shift_engine(monkeypatch):
     """Give sigma^id * sigma^z = sigma^z an extra q^{alpha_1^vee} in both engines' _mul.
 
     Every product the recursion builds from it then has the same extra
-    q-degree, with its coefficients unchanged.
+    q-degree, with its coefficients unchanged: the shifted term also goes
+    into the memo, where _mul reads it back.
     """
     mul = qhring.RingEngine._mul
 
     def shifted(self, w, z, memo):
         terms = mul(self, w, z, memo)
         if w == self._identity:
-            terms = (terms[0] + (qhring._code(rootsys.coroot((1, 2), self.n)) << self._bits), 1)
+            shift = qhring._code(rootsys.coroot((1, 2), self.n)) << self._bits
+            terms = memo[w] = (z + shift, 1)
         return terms
 
     monkeypatch.setattr(qhring.RingEngine, "_mul", shifted)

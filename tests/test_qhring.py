@@ -236,6 +236,31 @@ def test_each_monk_list_is_built_once_per_engine(monkeypatch):
         assert {tuple(map(type, step)) for step in steps} == {(int, int)}, engine.n
 
 
+def test_engine_calls_itself_only_on_a_memo_miss(monkeypatch):
+    # _mul reads a sub-product already in the memo instead of calling itself
+    # for it; only the top-level calls of products_with and product may hit.
+    # Fresh engines, so that the counts do not depend on earlier tests
+    mul = qhring.RingEngine._mul
+    depth, inner, hits = [0], Counter(), Counter()
+
+    def observed(self, w, z, memo):
+        if depth[0]:
+            inner[self.n] += 1
+            hits[self.n] += w in memo
+        depth[0] += 1
+        try:
+            return mul(self, w, z, memo)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(qhring.RingEngine, "_mul", observed)
+    monkeypatch.setattr(qhring, "_engines", functools.lru_cache(maxsize=None)(qhring.RingEngine))
+    assert seidel.verify_seidel(6).ok
+    assert seidel.verify_support(5).ok
+    assert inner[6] and inner[5]
+    assert sum(hits.values()) == 0, f"memo hits {dict(hits)} of inner calls {dict(inner)}"
+
+
 def test_products_with_checks_product_invariants(monkeypatch):
     # every product either engine hands out, single or swept, is checked where
     # the engine decodes it

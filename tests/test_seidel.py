@@ -17,6 +17,15 @@ def test_seidel_apply_examples():
     assert seidel.seidel_apply((4, 3, 5, 1, 2)) == ((0, 0, 1, 1), (5, 4, 1, 2, 3))
 
 
+def test_seidel_apply_tables_match_seidel_power():
+    # seidel_apply reads lambda(u) and u^1 from tables built once per rank;
+    # the ranks come in mixed order, so that one rank's tables cannot serve another
+    seidel._seidel_tables.cache_clear()
+    for n in (5, 3, 5, 2, 7, 4, 3, 6, 2, 7):
+        for u in weyl.all_permutations(n):
+            assert seidel.seidel_apply(u) == seidel.seidel_power(u, 1), u
+
+
 def test_seidel_power_composes():
     for n in (3, 4, 5):
         for u in weyl.all_permutations(n)[::7]:
@@ -72,6 +81,39 @@ def test_verify_sweeps(n):
     r = seidel.verify_pieri(n)
     assert r.ok and r.total == len(weyl.all_permutations(n)) * (n - 1)
     assert seidel.verify_support(n).ok
+
+
+def extra_term(prod):
+    return {**prod, ((1, 1, 1), weyl.identity(4)): 1}
+
+
+def coefficient_two(prod):
+    return {key: 2 * c for key, c in prod.items()}
+
+
+def degree_moved(prod):
+    # the right term, its q-degree moved by alpha_1^vee
+    return {(rootsys.add_degrees(lam, rootsys.coroot((1, 2), 4)), w): c
+            for (lam, w), c in prod.items()}
+
+
+@pytest.mark.parametrize("fault, at", [
+    (extra_term, (2, 4, 1, 3)),
+    (coefficient_two, (1, 2, 3, 4)),
+    (degree_moved, (4, 3, 1, 2)),
+], ids=["extra_term", "coefficient_2", "degree_moved"])
+def test_verify_seidel_flags_planted_faults(fault, at, monkeypatch):
+    # each product must be the single term q_{lambda(u)} sigma^{u^1} with
+    # coefficient 1: a fault on one u fails that record alone, kept as
+    # (u, product), and the other 23 pass in bulk
+    n = 4
+    hook = weyl.hook(n, n - 1)
+    wrong = fault(qhring.quantum_product(at, hook))
+    assert wrong != {seidel.seidel_apply(at): 1}
+    plants.plant(monkeypatch, lambda u, z, prod: fault(prod) if u == at else prod)
+    r = seidel.verify_seidel(n)
+    assert (r.total, r.passed) == (24, 23)
+    assert r.counterexamples == [(at, wrong)]
 
 
 @pytest.mark.parametrize("n", [4, 5])
