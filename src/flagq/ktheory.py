@@ -4,8 +4,8 @@ Classes are represented like quantum cohomology classes: a map from
 (degree vector, permutation) to an integer coefficient, with degree 0 on
 classical classes.  The hook class O^{s_{n-m}...s_{n-1}} is pulled back from
 P^{n-1}, where it is the m-th power of the hyperplane class, so it equals
-(O^{s_{n-1}})^m; a hook product applies the K-theoretic Monk operator of the
-divisor s_{n-1} m times (``qhring.divisor_power``, as for cohomology).
+(O^{s_{n-1}})^m: m rounds of every chain of the divisor walker, whose one-step
+chains give cohomology (``qhring.divisor_power`` with k, ``RingEngine._divisor``).
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ class ConjectureViolation(RuntimeError):
 
 def k_cup_special(m: int, v: Permutation) -> KClass:
     """The hook product O^{s_{n-m}...s_{n-1}} . O^v = (O^{s_{n-1}})^m . O^v."""
-    return qhring.divisor_power(m, v, qhring._k_divisor_moves)
+    return qhring.divisor_power(m, v, k=True)
 
 
 def qk_conjecture_product(m: int, u: Permutation) -> KClass:
@@ -40,25 +40,21 @@ def qk_conjecture_product(m: int, u: Permutation) -> KClass:
     in closed form (``seidel.seidel_conjugate`` with the K-Monk moves).  A
     negative final exponent raises ConjectureViolation (not asserted impossible).
     """
-    return seidel.seidel_conjugate(m, u, qhring._k_divisor_moves, ConjectureViolation)
+    return seidel.seidel_conjugate(m, u, True, ConjectureViolation)
 
 
 # --- projection to G/P ------------------------------------------------------
 
 def coset_min(w: Permutation, delta_p) -> Permutation:
-    """Minimal representative w' of w W_P: sort values within Delta_P blocks."""
-    n = len(w)
-    dp = set(delta_p)
-    blocks: list[list[int]] = [[1]]
-    for i in range(1, n):
-        if i in dp:
-            blocks[-1].append(i + 1)
-        else:
-            blocks.append([i + 1])
+    """Minimal representative w' of w W_P: sort values within Delta_P blocks.
+
+    A component [a, b] of Delta_P (qhring._components) is the block of
+    positions a, ..., b + 1.
+    """
     out = list(w)
-    for bl in blocks:
-        for pos, val in zip(bl, sorted(w[p - 1] for p in bl)):
-            out[pos - 1] = val
+    for comp in qhring._components(sorted(set(delta_p))):
+        a, b = comp[0] - 1, comp[-1] + 1
+        out[a:b] = sorted(w[a:b])
     return tuple(out)
 
 
@@ -103,20 +99,23 @@ def k_verify(n: int) -> VerifyReport:
     report = VerifyReport("ktheory", n)
     zero = rootsys.zero_degree(n)
     hooks = [weyl.hook(n, m) for m in range(1, n)]
-    perms = weyl.all_permutations(n)
-    # l(w) and its Bruhat tableau for the last 1 024 terms met; about 2 misses per w at n = 8
-    bruhat = functools.lru_cache(1024)(lambda w: (weyl.length(w), weyl.bruhat_tableau(w)))
+    # the divisor powers and the cup products share the classical engine's indices
+    engine = qhring.get_engine(n, False)
+    perms, lengths = engine._perms, engine._lengths
+    # l(w) and its Bruhat tableau for the last 1 024 indices met; about 2 misses per w at n = 8
+    bruhat = functools.lru_cache(1024)(lambda i: (lengths[i], weyl.bruhat_tableau(perms[i])))
     # the cup products hook_m . v, one products_with sweep per hook, advanced together
-    cups = zip(*(qhring.products_with(hook, perms, quantum=False) for hook in hooks))
-    for v, cup in zip(perms, cups):
-        powers = qhring.divisor_powers(v, qhring._k_divisor_moves)
-        lv, tv = bruhat(v)
+    vs = weyl.all_permutations(n)
+    cups = zip(*(qhring.products_with(hook, vs, quantum=False) for hook in hooks))
+    for v, cup in zip(vs, cups):
+        powers = qhring.divisor_powers(v, k=True)
+        lv, tv = bruhat(engine._intern(v))
         for m, (hook, power, cup_m) in enumerate(zip(hooks, powers, cup), start=1):
-            base_deg, th = m + lv, bruhat(hook)[1]  # l(hook_m) = m
+            base_deg, th = m + lv, bruhat(engine._intern(hook))[1]  # l(hook_m) = m
             bad = []
             lowest: KClass = {}
-            for w, c in power.items():
-                lw, tw = bruhat(w)
+            for i, c in power.items():
+                w, (lw, tw) = perms[i], bruhat(i)
                 excess = lw - base_deg
                 if excess < 0 or (c > 0) != (excess % 2 == 0):
                     bad.append(((zero, w, c), "sign pattern"))

@@ -5,7 +5,7 @@ coefficient.  Every rule is read off the quantum Bruhat graph, whose edges
 at a position r come from one scan per side (_left_edges, _right_edges),
 each edge with its moved permutation: the quantum Monk operators X_r of
 Fomin, Gelfand and Postnikov (RingEngine._monk), and the divisor s_{n-1}
-in H* and in K, whose powers are the hook products.  The
+in H* and in K, whose powers are the hook products (RingEngine._divisor).  The
 Lascoux-Schutzenberger transition step writes every sigma^w != sigma^id as
 X_r sigma^v plus classes that are shorter, or as long and lexicographically
 larger, and products follow by a memoized integer recursion on the
@@ -15,7 +15,8 @@ sigma^z, in which a term is one int and a q-shift an int addition
 checked as it is decoded.
 
 The same recursion with the quantum terms switched off yields the classical
-cup product, which agrees with the q=0 truncation of the quantum product.
+cup product, which agrees with the q=0 truncation of the quantum product;
+its indices also key the divisor tables, so one store per rank holds them all.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from operator import add, gt, itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import rootsys, weyl
-from .polynomials import accumulate
 from .reporting import VerifyReport
 from .weyl import DegreeVector, Permutation, identity, length, swap
 
@@ -38,9 +38,6 @@ QClass = dict[tuple[DegreeVector, Permutation], int]
 
 # --- quantum Bruhat edges and the divisor s_{n-1} ---------------------------
 
-# one object per permutation reached by a divisor move, shared by the move
-# lists of _divisor_moves and _k_divisor_moves
-_perms: dict[Permutation, Permutation] = {}
 Edge = tuple[int, bool, Permutation]  # (the other position, quantum, moved permutation)
 
 
@@ -112,56 +109,31 @@ def _right_edges(w: Permutation, r: int, quantum: bool = True) -> list[Edge]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _divisor_moves(w: Permutation) -> tuple[tuple[Permutation, int], ...]:
-    """sigma^{s_{n-1}} . sigma^w in H*(Fl_n) as (permutation, coefficient) terms.
+def divisor_powers(v: Permutation, k: bool = False) -> Iterator[dict[int, int]]:
+    """Yield [s_{n-1}]^m . [v] for m = 1, ..., n-1, in K if k, else in H*.
 
-    Monk's rule for the divisor s_{n-1}: one term w t_{an} for each a < n
-    with w -> w t_{an} a Bruhat cover (_left_edges), the one-step chains of
-    _k_divisor_moves.
+    A class is {index: coefficient} on the classical engine, which decodes it
+    (_perms) and keeps each list [s_{n-1}] . [w] (RingEngine._divisor).
     """
-    return tuple((_perms.setdefault(y, y), 1) for _, _, y in _left_edges(w, len(w), quantum=False))
-
-
-@lru_cache(maxsize=None)
-def _k_divisor_moves(w: Permutation) -> tuple[tuple[Permutation, int], ...]:
-    """O^{s_{n-1}} . O^w in K(Fl_n) as (permutation, coefficient) terms.
-
-    Lenart's K-theoretic Monk formula for the divisor s_{n-1}: a signed sum
-    over the chains w -> w t_{a_1 n} -> w t_{a_1 n} t_{a_2 n} -> ... with
-    a_1 < a_2 < ... < n in which every step is a Bruhat cover (_left_edges), a
-    chain of p steps counting (-1)^(p-1).  A chain moves exactly the
-    positions a_1, ..., a_p and n, so no two chains end in the same class.
-    This is the q = 0 part of the quantum K divisor operator for k = n - 1.
-    """
-    n = len(w)
-    out = []
-    chains = [(w, 1, 1)]  # (end of a chain, least next a, sign of the next step)
-    while chains:
-        x, lo, sign = chains.pop()
-        for a, _, y in _left_edges(x, n, lo, quantum=False):
-            y = _perms.setdefault(y, y)
-            out.append((y, sign))
-            chains.append((y, a + 1, -sign))
-    return tuple(out)
-
-
-def divisor_powers(v: Permutation, moves) -> Iterator[dict[Permutation, int]]:
-    """Yield [s_{n-1}]^m . [v] as {permutation: coefficient} for m = 1, ..., n-1.
-
-    ``moves(w)`` lists [s_{n-1}] . [w] as (permutation, coefficient) terms:
-    _divisor_moves in H*, _k_divisor_moves in K.
-    """
-    cls = {v: 1}
+    engine = get_engine(len(v), False)
+    table = engine._divisors[k]
+    cls = {engine._intern(v): 1}
     for _ in range(len(v) - 1):
-        out: dict[Permutation, int] = {}
-        accumulate(out, ((y, c * d) for x, c in cls.items() for y, d in moves(x)))
-        cls = out
+        out: dict[int, int] = {}
+        get = out.get
+        for x, c in cls.items():
+            moves = table.get(x)
+            if moves is None:
+                moves = table[x] = engine._divisor(x, k)
+            it = iter(moves)
+            for y, d in zip(it, it):
+                out[y] = get(y, 0) + c * d
+        cls = {y: c for y, c in out.items() if c}
         yield cls
 
 
-def divisor_power(m: int, v: Permutation, moves) -> QClass:
-    """The hook product [s_{n-m}...s_{n-1}] . [v] = [s_{n-1}]^m . [v], 1 <= m < n.
+def divisor_power(m: int, v: Permutation, k: bool = False) -> QClass:
+    """The hook product [s_{n-m}...s_{n-1}] . [v] = [s_{n-1}]^m . [v], 1 <= m < n, in K if k.
 
     The hook class is pulled back from P^{n-1}, where it is the m-th power of
     the hyperplane class: the m-th class of divisor_powers, in degree zero.
@@ -169,9 +141,9 @@ def divisor_power(m: int, v: Permutation, moves) -> QClass:
     n = len(v)
     if not 1 <= m <= n - 1:
         raise ValueError(f"hook size {m} out of range for n={n}")
-    cls = next(islice(divisor_powers(v, moves), m - 1, None))
-    zero = _zero(n)
-    return {(zero, w): c for w, c in cls.items()}
+    cls = next(islice(divisor_powers(v, k), m - 1, None))
+    zero, perms = _zero(n), get_engine(n, False)._perms
+    return {(zero, perms[i]): c for i, c in cls.items()}
 
 
 # --- transition engine ------------------------------------------------------
@@ -213,9 +185,9 @@ class RingEngine:
     Monk lists, one per (index, r) and at most n! n, and one (r, v) per
     transition, and every product it hands out is checked term by term
     where it is decoded (_decode).  A permutation first met through a move
-    comes with its length, read off the move (_monk, _transition); only the
-    factors from outside are counted.
-    ``quantum=False`` gives the classical cup-product engine.
+    comes with its length, read off the move (_monk, _transition, _divisor);
+    only the factors from outside are counted.  ``quantum=False`` gives the
+    classical cup-product engine, which also keeps the divisor lists (_divisor).
 
     A term q^lam sigma^w is one int, (_code(lam) << bits) | index(w), with
     bits = n!.bit_length() and the lam_i as digits in base B = n(n-1)/2 + 1,
@@ -239,6 +211,7 @@ class RingEngine:
         self._shifts = {g: _code(rootsys.coroot(g, n)) << bits for g in rootsys.positive_roots(n)}
         self._moves: dict[int, tuple] = {}  # index * n + r -> X_r on it (_monk)
         self._transitions: dict[int, tuple[int, int]] = {}  # index -> (r, v) (_transition)
+        self._divisors: tuple[dict[int, tuple], ...] = ({}, {})  # [k][index] -> _divisor(index, k)
         self._identity = self._intern(identity(n))
 
     def product(self, u: Permutation, v: Permutation) -> QClass:
@@ -307,6 +280,32 @@ class RingEngine:
             if i is None:
                 i = self._intern(y, ell + 1 - 2 * (r - a) * q)
             out.append((-1, shifts[a, r] if q else 0, i))
+        return tuple(out)
+
+    def _divisor(self, z: int, k: bool) -> tuple[int, ...]:
+        """[s_{n-1}] . [w], w = _perms[z], in K if k, else in H*, as a flat (index, coeff, ...).
+
+        Lenart's K-theoretic Monk formula for the divisor s_{n-1}: a signed sum
+        over the chains w -> w t_{a_1 n} -> w t_{a_1 n} t_{a_2 n} -> ... with
+        a_1 < a_2 < ... < n in which every step is a Bruhat cover (_left_edges), a
+        chain of p steps counting (-1)^(p-1).  A chain moves exactly the
+        positions a_1, ..., a_p and n, so no two chains end in the same class.
+        This is the q = 0 part of the quantum K divisor operator of s_{n-1}.
+        In H* only the one-step chains count: Monk's rule, -X_n (_monk).  A
+        cover adds 1 to the length, which a new permutation is interned with.
+        """
+        n, perms, lengths, index = self.n, self._perms, self._lengths, self._index
+        out = []
+        chains = [(z, 1, 1)]  # (end of a chain, least next a, sign of the next step)
+        while chains:
+            x, lo, sign = chains.pop()
+            for a, _, y in _left_edges(perms[x], n, lo, quantum=False):
+                i = index.get(y)
+                if i is None:
+                    i = self._intern(y, lengths[x] + 1)
+                out += i, sign
+                if k:
+                    chains.append((i, a + 1, -sign))
         return tuple(out)
 
     def _transition(self, w: int) -> tuple[int, int]:

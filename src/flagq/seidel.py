@@ -78,23 +78,24 @@ def seidel_conjugation(u: Permutation, error: type[Exception]) -> Callable[..., 
     return conjugate
 
 
-def seidel_conjugate(m: int, u: Permutation, moves, error: type[Exception]) -> QClass:
+def seidel_conjugate(m: int, u: Permutation, k: bool, error: type[Exception]) -> QClass:
     """The hook product sigma^{s_{n-m}...s_{n-1}} * sigma^u by Seidel conjugation.
 
-    q_1^{-1} ... q_{n-1}^{1-n} q_{lambda(u,k)} T^{n-k}(hook_m . u^k), k = n - u(n):
-    seidel_conjugation of divisor_power(m, u^k, moves), in cohomology or K theory.
+    q_1^{-1} ... q_{n-1}^{1-n} q_{lambda(u,j)} T^{n-j}(hook_m . u^j), j = n - u(n):
+    seidel_conjugation of divisor_power(m, u^j, k), in cohomology or, if k, K theory.
     """
-    power = qhring.divisor_power(m, weyl.u_up(u, len(u) - u[-1]), moves)
+    power = qhring.divisor_power(m, weyl.u_up(u, len(u) - u[-1]), k)
     return seidel_conjugation(u, error)(m, ((w, c) for (_, w), c in power.items()))
 
 
 def quantum_pieri(m: int, u: Permutation) -> QClass:
     """sigma^{s_{n-m}...s_{n-1}} * sigma^u by the Seidel closed form.
 
-    ``seidel_conjugate`` of a power of Monk's operator for s_{n-1}, with no
-    product engine; a prefactor that fails to divide raises PieriFormulaError.
+    ``seidel_conjugate`` of a power of Monk's operator for s_{n-1}, the one-step
+    chains of ``RingEngine._divisor``, with no product engine; a prefactor
+    that fails to divide raises PieriFormulaError.
     """
-    return seidel_conjugate(m, u, qhring._divisor_moves, PieriFormulaError)
+    return seidel_conjugate(m, u, False, PieriFormulaError)
 
 
 # --- verification sweeps ---------------------------------------------------
@@ -140,20 +141,22 @@ def verify_pieri(n: int, engine_check: bool = True) -> VerifyReport:
     if engine_check:
         us = [weyl.u_up((*head, n), n - k) for head in heads for k in range(n)]
         engine = zip(*(qhring.products_with(weyl.hook(n, m), us) for m in range(1, n)))
+    perms = qhring.get_engine(n, False)._perms  # decodes the chains' indices
     code, pack, counts = _pieri_fields(n)
     size, guard = n * (n - 1) * array(code).itemsize, 1 << 8 * array(code).itemsize - 1
     guards = pack([guard] * (n * (n - 1)))
 
     for head in heads:
         v = (*head, n)
-        powers = list(qhring.divisor_powers(v, qhring._divisor_moves))
+        powers = list(qhring.divisor_powers(v))
         rotations = [weyl.u_up(v, n - k) for k in range(n)]
         read = [range(1, n) if engine_check else [] for _ in rotations]
         if not engine_check:
             base = pack([guard + b for k, u in enumerate(rotations)
                          for b in weyl.lambda_cumulative(u, k)])
             for m, power in enumerate(powers, start=1):
-                kept = reduce(and_, map(base.__sub__, map(counts, power)), guards)
+                terms = map(perms.__getitem__, power)
+                kept = reduce(and_, map(base.__sub__, map(counts, terms)), guards)
                 if kept & guards != guards:
                     fields = array(code, kept.to_bytes(size, sys.byteorder))
                     for k in range(n):
@@ -165,7 +168,7 @@ def verify_pieri(n: int, engine_check: bool = True) -> VerifyReport:
             products = next(engine) if engine_check else None
             for m in ms:
                 try:
-                    closed = conjugate(m, powers[m - 1].items())
+                    closed = conjugate(m, ((perms[i], c) for i, c in powers[m - 1].items()))
                 except PieriFormulaError as err:
                     report.record(False, (m, u, err))
                     continue

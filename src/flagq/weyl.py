@@ -9,7 +9,7 @@ transposition therefore swaps two *positions* of the one-line form.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, permutations
 from operator import le
 from typing import Iterable, Sequence
 
@@ -190,6 +190,4 @@ def word_to_string(word: Sequence[int]) -> str:
 
 @lru_cache(maxsize=None)
 def all_permutations(n: int) -> tuple[Permutation, ...]:
-    import itertools
-
-    return tuple(itertools.permutations(range(1, n + 1)))
+    return tuple(permutations(range(1, n + 1)))

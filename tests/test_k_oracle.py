@@ -1,10 +1,11 @@
 """K products from the Monk operator against the Grothendieck oracle.
 
-``qhring._k_divisor_moves`` multiplies by O^{s_{n-1}} through chains of
-Bruhat covers, and ``ktheory`` builds every hook product and QK product from
-its powers; the oracle (``k_oracle.py``) multiplies Grothendieck polynomials
-and expands them modulo the ideal.  A class has one expansion in the
-Grothendieck basis, so the two must agree term for term.
+The divisor walker ``qhring.RingEngine._divisor`` multiplies by O^{s_{n-1}}
+through chains of Bruhat covers (its K lists, on the classical engine), and
+``ktheory`` builds every hook product and QK product from its powers; the
+oracle (``k_oracle.py``) multiplies Grothendieck polynomials and expands
+them modulo the ideal.  A class has one expansion in the Grothendieck basis,
+so the two must agree term for term.
 """
 import random
 from functools import lru_cache
@@ -12,12 +13,18 @@ from functools import lru_cache
 import pytest
 
 import k_oracle as oracle
-from flagq import ktheory, qhring, rootsys, seidel, weyl
+from flagq import ktheory, polynomials, qhring, rootsys, seidel, weyl
 
 
 def divisor(w):
+    """The walker's K list of O^{s_{n-1}} . O^w as a class; no two chains end alike."""
+    engine = qhring.get_engine(len(w), False)
+    it = iter(engine._divisor(engine._intern(w), True))
+    moves = [(engine._perms[y], c) for y, c in zip(it, it)]
     zero = rootsys.zero_degree(len(w))
-    return {(zero, y): c for y, c in qhring._k_divisor_moves(w)}
+    cls = {(zero, y): c for y, c in moves}
+    assert len(cls) == len(moves), w
+    return cls
 
 
 def hook_cases(n):
@@ -26,14 +33,20 @@ def hook_cases(n):
 
 @lru_cache(maxsize=None)
 def oracle_divisor_moves(w):
-    """O^{s_{n-1}} . O^w from the oracle, as a move list for seidel_conjugate."""
+    """O^{s_{n-1}} . O^w from the oracle, as (permutation, coefficient) moves."""
     return tuple((y, c) for (_, y), c in oracle.k_product(weyl.hook(len(w), 1), w).items())
 
 
 def oracle_qk(m, u):
-    return seidel.seidel_conjugate(
-        m, u, oracle_divisor_moves, ktheory.ConjectureViolation
-    )
+    """Seidel conjugation of (O^{s_{n-1}})^m . O^{u^k}, k = n - u(n), the power
+    taken m rounds through the oracle's divisor moves."""
+    cls = {weyl.u_up(u, len(u) - u[-1]): 1}
+    for _ in range(m):
+        out = {}
+        for w, c in cls.items():
+            polynomials.accumulate(out, oracle_divisor_moves(w), c)
+        cls = out
+    return seidel.seidel_conjugation(u, ktheory.ConjectureViolation)(m, cls.items())
 
 
 @pytest.mark.parametrize("n", range(2, 6))

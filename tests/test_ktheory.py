@@ -1,3 +1,6 @@
+import functools
+from itertools import chain
+
 import pytest
 
 import k_oracle as oracle
@@ -165,11 +168,21 @@ def test_k_verify_counterexamples_in_m_then_v_order(monkeypatch):
 
 
 def plant_k_moves(monkeypatch, x, wrong):
-    """Replace the K-Monk moves of x, and only of x, by wrong(moves)."""
-    moves = qhring._k_divisor_moves
-    monkeypatch.setattr(
-        qhring, "_k_divisor_moves", lambda y: wrong(moves(y)) if y == x else moves(y)
-    )
+    """Replace the K-Monk moves of x, and only of x, by wrong(moves), moves as
+    (permutation, coefficient) pairs.  The walker's lists are stored in the
+    engine, so the plant runs on fresh engines."""
+    divisor = qhring.RingEngine._divisor
+
+    def planted(self, z, k):
+        moves = divisor(self, z, k)
+        if not k or self._perms[z] != x:
+            return moves
+        it = iter(moves)
+        pairs = tuple((self._perms[y], c) for y, c in zip(it, it))
+        return tuple(chain.from_iterable((self._intern(y), c) for y, c in wrong(pairs)))
+
+    monkeypatch.setattr(qhring.RingEngine, "_divisor", planted)
+    monkeypatch.setattr(qhring, "_engines", functools.lru_cache(maxsize=None)(qhring.RingEngine))
 
 
 def test_k_verify_reports_a_planted_sign_fault(monkeypatch):

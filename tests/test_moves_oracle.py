@@ -1,14 +1,16 @@
 """The engine's move lists and transition steps against the length-based oracle.
 
-``qhring.RingEngine._monk`` (the quantum Monk lists X_r) and
-``qhring._divisor_moves`` find quantum Bruhat edges by one scan per side of
-a position, and ``RingEngine._transition`` gives the Lascoux-Schutzenberger
+``qhring.RingEngine._monk`` (the quantum Monk lists X_r) and the H* lists
+of the divisor walker ``RingEngine._divisor`` (Monk's rule for s_{n-1}, its
+one-step chains) find quantum Bruhat edges by one scan per side of a
+position, and ``RingEngine._transition`` gives the Lascoux-Schutzenberger
 step (r, v), whose rest ``RingEngine._mul`` reads off the engine's own Monk
 list of v at r.  The oracle (``moves_oracle.py``) compares full inversion
 counts, builds X_r as the difference of two Chevalley lists and takes its
 transition step from those lists.  The Monk and divisor lists and the
 transition steps must agree exactly, order included, since the order fixes
-the order of every product's terms.
+the order of every product's terms.  The divisor's H* list is also -X_n on
+the classical engine, term for term: one Monk builder serves both.
 """
 from functools import lru_cache
 
@@ -71,10 +73,28 @@ def test_transition_matches_oracle_on_all_of_s_n(n, quantum):
         ), (w, quantum)
 
 
+def divisor_moves(w):
+    """The walker's H* list of sigma^{s_{n-1}} . sigma^w as (permutation, coeff) pairs,
+    with the index of w on the classical engine."""
+    engine = engines(len(w), False)
+    z = engine._intern(w)
+    it = iter(engine._divisor(z, False))
+    return tuple((engine._perms[y], c) for y, c in zip(it, it)), z
+
+
 def assert_same_divisor_moves(w):
     # Monk's rule for s_{n-1} is the classical Chevalley list of i = n - 1
     expected = tuple((wp, 1) for _, wp in oracle.chevalley_moves(w, len(w) - 1, False))
-    assert qhring._divisor_moves(w) == expected, w
+    assert divisor_moves(w)[0] == expected, w
+
+
+def assert_divisor_is_minus_x_n(w):
+    # sigma^{s_{n-1}} = x_1 + ... + x_{n-1} = -x_n, so the walker's H* list is
+    # X_n sigma^w, every sign negated, in the same order
+    engine = engines(len(w), False)
+    got, z = divisor_moves(w)
+    monk = [(engine._perms[y], -sign) for sign, _, y in engine._monk(z, len(w))]
+    assert list(got) == monk, w
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -87,3 +107,15 @@ def test_divisor_moves_match_oracle_on_all_of_s_n(n):
 @given(st.sampled_from((7, 8)).flatmap(lambda n: st.permutations(range(1, n + 1))))
 def test_divisor_moves_match_oracle_sampled_n7_n8(w):
     assert_same_divisor_moves(tuple(w))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_divisor_is_minus_x_n_on_all_of_s_n(n):
+    for w in weyl.all_permutations(n):
+        assert_divisor_is_minus_x_n(w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((7, 8)).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_divisor_is_minus_x_n_sampled_n7_n8(w):
+    assert_divisor_is_minus_x_n(tuple(w))

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -69,7 +70,7 @@ def hook_cases(n):
 
 def assert_divisor_power_is_cup_product(n, m, v):
     # the hook class is (sigma^{s_{n-1}})^m in H*(Fl_n): Monk's rule m times
-    power = qhring.divisor_power(m, v, qhring._divisor_moves)
+    power = qhring.divisor_power(m, v)
     assert power == qhring.classical_product(weyl.hook(n, m), v), (m, v)
 
 
@@ -87,7 +88,7 @@ def test_divisor_power_is_hook_cup_product_sampled_n6():
 def test_divisor_power_rejects_hook_size():
     for m in (0, 4):
         with pytest.raises(ValueError):
-            qhring.divisor_power(m, weyl.identity(4), qhring._divisor_moves)
+            qhring.divisor_power(m, weyl.identity(4))
 
 
 def test_get_engine_is_one_engine_per_rank_and_kind():
@@ -209,6 +210,45 @@ def test_engine_lengths_come_with_each_move(quantum):
     for _ in range(20):
         engine.product(rng.choice(perms), rng.choice(perms))
     assert engine._lengths == list(map(weyl.length, engine._perms))
+    if quantum:
+        return
+    # the divisor walker (_divisor, on the classical engine) interns a cover
+    # w t_an with l(w) + 1.  A cover puts a larger value at a, so walks
+    # started in lexicographic order meet every permutation that does not
+    # fix n (no cover reaches those) as a chain's end before it is a start
+    for n in range(2, 7):
+        engine = qhring.RingEngine(n, False)
+        moved = 0
+        for v in weyl.all_permutations(n):
+            z = engine._intern(v)
+            for k in (False, True):
+                before = len(engine._perms)
+                engine._divisor(z, k)
+                moved += len(engine._perms) - before
+        assert moved == math.factorial(n) - math.factorial(n - 1), n
+        assert engine._lengths == list(map(weyl.length, engine._perms)), n
+
+
+def test_one_permutation_store_per_rank(monkeypatch):
+    # the divisor lists of H* and K are tables of the classical engine, keyed
+    # by its indices: after the closed-form Pieri sweep and the K sweep at
+    # n = 6, run on fresh engines, that one engine holds each permutation of
+    # S_6 once, as one object, and qhring keeps no permutation store of its own
+    monkeypatch.setattr(qhring, "_engines", functools.lru_cache(maxsize=None)(qhring.RingEngine))
+    assert seidel.verify_pieri(6, engine_check=False).ok
+    assert ktheory.k_verify(6).ok
+    assert qhring._engines.cache_info().currsize == 1
+    for name in ("_perms", "_divisor_moves", "_k_divisor_moves"):
+        assert not hasattr(qhring, name), name
+    caches = {name for name, f in vars(qhring).items() if hasattr(f, "cache_info")}
+    assert caches == {"_zero", "_degree", "_engines"}
+    engine = qhring.get_engine(6, False)
+    assert len(engine._perms) == len(engine._index) == len(set(map(id, engine._perms))) == 720
+    assert all(engine._perms[i] is w for w, i in engine._index.items())
+    h, k = engine._divisors
+    assert (len(h), len(k)) == (719, 720)
+    assert (sum(map(len, h.values())), sum(map(len, k.values()))) == (2 * 1044, 2 * 1800)
+    assert {type(x) for moves in (*h.values(), *k.values()) for x in moves} == {int}
 
 
 def test_each_monk_list_is_built_once_per_engine(monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import accumulate
 
@@ -122,9 +123,9 @@ def test_verify_pieri_runs_one_chain_per_class_of_s_n_minus_1(n, monkeypatch):
     powers = qhring.divisor_powers
     starts = []
 
-    def spy(v, moves):
+    def spy(v, k=False):
         starts.append(v)
-        return powers(v, moves)
+        return powers(v, k)
 
     monkeypatch.setattr(qhring, "divisor_powers", spy)
     r = seidel.verify_pieri(n, engine_check=False)
@@ -199,11 +200,18 @@ def reference_pieri(n, engine_check):
 
 
 def plant_below(monkeypatch, n):
-    """Every w with w(1) = 2 gets the extra divisor move sigma^id, below the
-    chain's start v: many (m, u) get a negative exponent."""
-    moves = qhring._divisor_moves
-    extra = ((weyl.identity(n), 1),)
-    monkeypatch.setattr(qhring, "_divisor_moves", lambda w: moves(w) + extra * (w[0] == 2))
+    """Every w with w(1) = 2 gets the extra H* divisor move sigma^id, below the
+    chain's start v: many (m, u) get a negative exponent.  The walker's lists
+    are stored in the engine, so the plant runs on fresh engines."""
+    divisor = qhring.RingEngine._divisor
+
+    def planted(self, z, k):
+        moves = divisor(self, z, k)
+        extra = (self._intern(weyl.identity(n)), 1)
+        return moves + extra * (not k and self._perms[z][0] == 2)
+
+    monkeypatch.setattr(qhring.RingEngine, "_divisor", planted)
+    monkeypatch.setattr(qhring, "_engines", functools.lru_cache(maxsize=None)(qhring.RingEngine))
 
 
 def plant_one_field(monkeypatch, n):
@@ -212,10 +220,11 @@ def plant_one_field(monkeypatch, n):
     only u = u_up(v, n - 2) at m = 2 fails, in that one field."""
     powers = qhring.divisor_powers
     v = weyl.from_word([2], n)
+    ident = qhring.get_engine(n, False)._intern(weyl.identity(n))
 
-    def planted(w, moves):
-        for m, cls in enumerate(powers(w, moves), start=1):
-            yield {**cls, weyl.identity(n): 1} if (m, w) == (2, v) else cls
+    def planted(w, k=False):
+        for m, cls in enumerate(powers(w, k), start=1):
+            yield {**cls, ident: 1} if (m, w) == (2, v) else cls
 
     monkeypatch.setattr(qhring, "divisor_powers", planted)
 
@@ -227,6 +236,7 @@ def test_verify_pieri_matches_reference_on_planted_chains(n, engine_check, plant
     # form raises, and word them as the closed form does
     plant(monkeypatch, n)
     total, bad = reference_pieri(n, engine_check)
+    assert bad  # the plant reached the chains
     r = seidel.verify_pieri(n, engine_check=engine_check)
     assert (r.total, r.passed) == (total, total - len(bad))
     got = [(m, u, str(c) if isinstance(c, seidel.PieriFormulaError) else c)
@@ -265,7 +275,7 @@ def test_verify_pieri_builds_closed_forms_only_where_read(n, engine_check, calls
     assert len(seen) == len(set(seen)) == calls
 
 
-def reference_conjugate(m, u, moves, error):
+def reference_conjugate(m, u, k_theory, error):
     """Seidel conjugation term by term: seidel_power on each term of the
     divisor power, the prefactor q_1^{-1} ... q_{n-1}^{1-n}, then
     polynomials.accumulate to collect terms."""
@@ -274,7 +284,7 @@ def reference_conjugate(m, u, moves, error):
     base = weyl.lambda_cumulative(u, k)
     prefactor = tuple(-i for i in range(1, n))
     terms = []
-    for (_, w), c in qhring.divisor_power(m, weyl.u_up(u, k), moves).items():
+    for (_, w), c in qhring.divisor_power(m, weyl.u_up(u, k), k_theory).items():
         shift, w_up = seidel.seidel_power(w, n - k)
         q = tuple(a + b + p for a, b, p in zip(shift, base, prefactor))
         if min(q, default=0) < 0:
@@ -285,23 +295,23 @@ def reference_conjugate(m, u, moves, error):
     return out
 
 
-def conjugation_outcome(conjugate, m, u, moves):
+def conjugation_outcome(conjugate, m, u, k_theory):
     try:
-        return conjugate(m, u, moves, seidel.PieriFormulaError)
+        return conjugate(m, u, k_theory, seidel.PieriFormulaError)
     except seidel.PieriFormulaError as err:
         return str(err)
 
 
-MOVES = [qhring._divisor_moves, qhring._k_divisor_moves]
+KINDS = [False, True]  # the divisor in H*, in K
 
 
-@pytest.mark.parametrize("moves", MOVES, ids=["H", "K"])
+@pytest.mark.parametrize("k_theory", KINDS, ids=["H", "K"])
 @pytest.mark.parametrize("n", range(2, 6))
-def test_conjugation_matches_seidel_power_reference(n, moves):
+def test_conjugation_matches_seidel_power_reference(n, k_theory):
     for m in range(1, n):
         for u in weyl.all_permutations(n):
-            assert conjugation_outcome(seidel.seidel_conjugate, m, u, moves) == (
-                conjugation_outcome(reference_conjugate, m, u, moves)
+            assert conjugation_outcome(seidel.seidel_conjugate, m, u, k_theory) == (
+                conjugation_outcome(reference_conjugate, m, u, k_theory)
             ), (m, u)
 
 
@@ -310,9 +320,9 @@ def test_conjugation_matches_seidel_power_reference_sampled_n6():
     perms = weyl.all_permutations(6)
     for _ in range(300):
         m, u = rng.randrange(1, 6), rng.choice(perms)
-        for moves in MOVES:
-            assert conjugation_outcome(seidel.seidel_conjugate, m, u, moves) == (
-                conjugation_outcome(reference_conjugate, m, u, moves)
+        for k_theory in KINDS:
+            assert conjugation_outcome(seidel.seidel_conjugate, m, u, k_theory) == (
+                conjugation_outcome(reference_conjugate, m, u, k_theory)
             ), (m, u)
 
 
@@ -413,7 +423,9 @@ def test_pieri_no_negative_exponents_n5():
 
 def test_closed_forms_use_no_product_engine(monkeypatch):
     # quantum Pieri and the QK product come from divisor powers alone, so
-    # they are an independent check on the engine
+    # they are an independent check on the engine: on fresh engines they
+    # read the classical engine's permutation store and divisor walker, and
+    # never the product recursion or its Monk lists
     n = 4
     cases = [(m, u) for m in range(1, n) for u in weyl.all_permutations(n)]
     pieri = {(m, u): qhring.quantum_product(weyl.hook(n, m), u) for m, u in cases}
@@ -422,7 +434,9 @@ def test_closed_forms_use_no_product_engine(monkeypatch):
     def refuse(*args):
         raise AssertionError("product engine called")
 
-    monkeypatch.setattr(qhring, "get_engine", refuse)
+    for name in ("product", "products_with", "_mul", "_monk", "_transition"):
+        monkeypatch.setattr(qhring.RingEngine, name, refuse)
+    monkeypatch.setattr(qhring, "_engines", functools.lru_cache(maxsize=None)(qhring.RingEngine))
     for m, u in cases:
         assert seidel.quantum_pieri(m, u) == pieri[(m, u)], (m, u)
         assert ktheory.qk_conjecture_product(m, u) == qk[(m, u)], (m, u)
