@@ -255,8 +255,8 @@ def _verify_reports(which: str, n: int, engine_check: bool) -> list[VerifyReport
 
 def cmd_verify(args) -> int:
     # engine comparison of the Pieri sweep is implied at small rank,
-    # opt-in beyond (at n = 8 its products take about seven times the
-    # closed forms' time and six times their memory)
+    # opt-in beyond (at n = 8 its products take about 13-17 s at 198 MB,
+    # against 0.8-1.0 s at 28 MB for the closed forms alone)
     engine_check = args.engine_check or args.n <= 4
     reports = _verify_reports(args.what, args.n, engine_check)
     emit({"reports": [r.to_json() for r in reports]}, render_verify, args.format)

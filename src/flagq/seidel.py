@@ -9,8 +9,6 @@ by powers of T; the sweeps check these closed forms against the engine.
 """
 from __future__ import annotations
 
-import sys
-from array import array
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import and_, itemgetter, sub
@@ -117,24 +115,21 @@ def verify_seidel(n: int) -> VerifyReport:
 def verify_pieri(n: int, engine_check: bool = True) -> VerifyReport:
     """Closed-form Pieri for every u and hook size, one divisor chain per v in S_{n-1}.
 
-    The closed form for u reads the chain of u^k, k = n - u(n), which fixes
-    n; so each v with v(n) = n serves its n rotations u = (s_1...s_{n-1})^{n-k} v,
-    k = 0, ..., n-1.  With ``engine_check`` each closed form is compared
-    against the full engine product, from one products_with sweep per hook,
-    the n - 1 sweeps advanced together.
+    The closed form for u reads the chain of v = u^k, k = n - u(n), which
+    fixes n; so each v serves its n rotations u = (s_1...s_{n-1})^{n-k} v.
+    With ``engine_check`` each closed form is compared against the full
+    engine product, from one products_with sweep per hook, advanced together.
 
-    Without it only the prefactor's divisibility is read, and it is decided
-    for all n rotations at once.  Two ints hold one field per (k, i),
-    k = 0..n-1, 1 <= i <= n-1, each wide enough for a guard bit above n - 1
-    (one byte up to n = 128): ``base`` packs lambda(u,k)_i plus the guard
-    bit, ``counts(w)`` packs #{j <= i : w(j) <= k} (_pieri_fields).  No
-    value exceeds n - 1, so no field of base - counts(w) borrows from the
-    next, and its guard bit is gone exactly where q_i < 0.  The AND over a
-    power's terms keeps a guard bit only if every term keeps it; an OR would
-    let one term hide another's negative exponent.  Only a flagged (m, u)
-    builds its class: its PieriFormulaError words the counterexample, and a
-    class that does not raise there disagrees with the packed check and is
-    recorded instead.
+    Without it only the prefactor's divisibility is read.  With r_x(i, k) =
+    #{j <= i : x(j) <= k}, rotation k gives a term w of v's chain the degree
+    q_i = r_v(i, k) - r_w(i, k): it divides at every k iff v <= w in the
+    Bruhat order, and at k >= 1 iff block k of guards + ranks(v) - ranks(w)
+    (``weyl.bruhat_ranks``) keeps its guard bits; k = 0 always divides.  The
+    AND over a power's terms keeps a guard bit only if every term does; an OR
+    would let one term hide another's negative exponent.  Only a flagged
+    (m, u) builds its class: its PieriFormulaError words the counterexample,
+    and a class that does not raise there disagrees with the packed check
+    and is recorded instead.
     """
     report = VerifyReport("pieri", n)
     heads = weyl.all_permutations(n - 1)
@@ -142,30 +137,29 @@ def verify_pieri(n: int, engine_check: bool = True) -> VerifyReport:
         us = [weyl.u_up((*head, n), n - k) for head in heads for k in range(n)]
         engine = zip(*(qhring.products_with(weyl.hook(n, m), us) for m in range(1, n)))
     perms = qhring.get_engine(n, False)._perms  # decodes the chains' indices
-    code, pack, counts = _pieri_fields(n)
-    size, guard = n * (n - 1) * array(code).itemsize, 1 << 8 * array(code).itemsize - 1
-    guards = pack([guard] * (n * (n - 1)))
+    guards, columns, block, mask = weyl.bruhat_ranks(n)
 
     for head in heads:
         v = (*head, n)
         powers = list(qhring.divisor_powers(v))
-        rotations = [weyl.u_up(v, n - k) for k in range(n)]
-        read = [range(1, n) if engine_check else [] for _ in rotations]
+        read = [range(1, n) if engine_check else [] for _ in range(n)]
         if not engine_check:
-            base = pack([guard + b for k, u in enumerate(rotations)
-                         for b in weyl.lambda_cumulative(u, k)])
+            base = guards + weyl.ranks(v)
             for m, power in enumerate(powers, start=1):
-                terms = map(perms.__getitem__, power)
-                kept = reduce(and_, map(base.__sub__, map(counts, terms)), guards)
-                if kept & guards != guards:
-                    fields = array(code, kept.to_bytes(size, sys.byteorder))
-                    for k in range(n):
-                        if min(fields[k * (n - 1):(k + 1) * (n - 1)]) < guard:
+                # weyl.ranks(w), with the columns bound once per sweep
+                below = (base - sum(map(tuple.__getitem__, columns, perms[i])) for i in power)
+                kept = reduce(and_, below, guards)
+                if kept != guards:
+                    for k in range(1, n):
+                        if kept >> block * (k - 1) & mask != mask:
                             read[k].append(m)
-        for u, ms in zip(rotations, read):
+        for k, ms in enumerate(read):
             report.record(True, count=n - 1 - len(ms))
-            conjugate = seidel_conjugation(u, PieriFormulaError) if ms else None
             products = next(engine) if engine_check else None
+            if not ms:
+                continue
+            u = weyl.u_up(v, n - k)
+            conjugate = seidel_conjugation(u, PieriFormulaError)
             for m in ms:
                 try:
                     closed = conjugate(m, ((perms[i], c) for i, c in powers[m - 1].items()))
@@ -176,29 +170,6 @@ def verify_pieri(n: int, engine_check: bool = True) -> VerifyReport:
                 report.record(ok, None if ok else (m, u, closed))
     report.counterexamples.sort(key=itemgetter(0, 1))
     return report
-
-
-def _pieri_fields(n: int) -> tuple[str, Callable[..., int], Callable[[Permutation], int]]:
-    """(code, pack, counts) of verify_pieri at rank n.
-
-    ``pack`` packs one value per field (k, i) as the items of an array of
-    type ``code``.  ``counts(w)``, the packed #{j <= i : w(j) <= k}, sums
-    column[j][w(j)] over j < n: a 1 in every field with k >= w(j) and i >= j.
-    """
-    code = next(c for c in "BHQ" if n <= 1 << 8 * array(c).itemsize - 1)
-
-    def pack(fields) -> int:
-        return int.from_bytes(array(code, fields), sys.byteorder)
-
-    column = [
-        [pack([k >= x and i >= j for k in range(n) for i in range(1, n)]) for x in range(n + 1)]
-        for j in range(1, n)
-    ]
-
-    def counts(w: Permutation) -> int:
-        return sum(map(list.__getitem__, column, w[:-1]))
-
-    return code, pack, counts
 
 
 def verify_support(n: int) -> VerifyReport:

@@ -359,12 +359,40 @@ def test_rotation_prefactor_counts_low_values(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_pieri_counts_are_column_sums(n):
-    # verify_pieri's counts(w) adds one packed column per position j < n; it
-    # must equal the field-by-field packing of #{j <= i : w(j) <= k}
-    _, pack, counts = seidel._pieri_fields(n)
+    # verify_pieri's ranks(w) adds one packed column per position j < n; it
+    # must equal the field-by-field packing of r_w(i, k) = #{j <= i : w(j) <= k},
+    # fields (k, i) for 1 <= k, i <= n - 1, k-major
+    layout = weyl.bruhat_ranks(n)
+    width = layout.block // (n - 1)
     for w in weyl.all_permutations(n):
-        fields = [c for k in range(n) for c in accumulate(x <= k for x in w[:-1])]
-        assert counts(w) == pack(fields), w
+        fields = [c for k in range(1, n) for c in accumulate(x <= k for x in w[:-1])]
+        assert weyl.ranks(w) == sum(c << width * f for f, c in enumerate(fields)), w
+        assert sum(map(tuple.__getitem__, layout.columns, w)) == weyl.ranks(w), w
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_rank_blocks_flag_exactly_where_the_closed_form_raises(n):
+    # every u is rotation k = n - u(n) of v = u^k, which fixes n: block k of
+    # guards + ranks(v) - ranks(w) keeps its guard bits iff u's closed form
+    # takes the term w without a negative exponent
+    guards, _, block, mask = weyl.bruhat_ranks(n)
+    perms = weyl.all_permutations(n)
+    ranks = {w: weyl.ranks(w) for w in perms}
+    seen = set()
+    for u in perms:
+        k = n - u[-1]
+        v = weyl.u_up(u, k)
+        conjugate = seidel.seidel_conjugation(u, seidel.PieriFormulaError)
+        for w in perms:
+            kept = (guards + ranks[v] - ranks[w]) >> block * (k - 1) & mask == mask if k else True
+            try:
+                conjugate(1, [(w, 1)])
+                divides = True
+            except seidel.PieriFormulaError:
+                divides = False
+            assert kept == divides, (u, w)
+            seen.add(divides)
+    assert seen == ({True, False} if n > 2 else {True})  # S_2: v is the identity
 
 
 def test_prefactor_divides_exactly_above_v_n4():

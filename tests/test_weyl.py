@@ -108,36 +108,69 @@ def bruhat_leq_ranks(u, v):
     )
 
 
+def packed_leq(u, v, ranks):
+    """u <= v as the sweeps read it: guards + ranks(u) - ranks(v) keeps every guard bit."""
+    guards = weyl.bruhat_ranks(len(u)).guards
+    return (guards + ranks[u] - ranks[v]) & guards == guards
+
+
 def test_bruhat_matches_subword_oracle():
     perms = weyl.all_permutations(4)
-    tableaux = {w: weyl.bruhat_tableau(w) for w in perms}
+    ranks = {w: weyl.ranks(w) for w in perms}
     for u in perms:
         for v in perms:
             expected = bruhat_leq_subword(u, v)
             assert weyl.bruhat_leq(u, v) == expected, (u, v)
-            assert weyl.tableau_leq(tableaux[u], tableaux[v]) == expected, (u, v)
+            assert packed_leq(u, v, ranks) == expected, (u, v)
 
 
-def test_bruhat_tableaux_match_rank_oracle_n6():
-    # cached tableaux, compared as the K-theory sweep compares them, on a
+def raised(rng, u):
+    """u with one to three random transpositions applied, each only if it goes up."""
+    v = list(u)
+    for _ in range(rng.randrange(1, 4)):
+        a, b = sorted(rng.sample(range(len(u)), 2))
+        if v[a] < v[b]:
+            v[a], v[b] = v[b], v[a]
+    return tuple(v)
+
+
+def test_bruhat_ranks_match_rank_oracle_n6():
+    # cached rank counts, compared as the K-theory sweep compares them, on a
     # seeded sample of pairs: u against a random v and against a product of
     # u with random transpositions, which is often above it
     perms = weyl.all_permutations(6)
-    tableaux = {w: weyl.bruhat_tableau(w) for w in perms}
+    ranks = {w: weyl.ranks(w) for w in perms}
     rng = random.Random(6)
     seen = set()
     for _ in range(1500):
         u = rng.choice(perms)
-        v = list(u)
-        for _ in range(rng.randrange(1, 4)):
-            a, b = sorted(rng.sample(range(6), 2))
-            if v[a] < v[b]:
-                v[a], v[b] = v[b], v[a]
-        for v in (rng.choice(perms), tuple(v)):
+        for v in (rng.choice(perms), raised(rng, u)):
             expected = bruhat_leq_ranks(u, v)
-            assert weyl.tableau_leq(tableaux[u], tableaux[v]) == expected, (u, v)
+            assert packed_leq(u, v, ranks) == expected, (u, v)
             assert weyl.bruhat_leq(u, v) == expected, (u, v)
             seen.add(expected)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17])
+def test_bruhat_leq_where_the_field_width_steps_up(n):
+    # a field holds n - 1 and a guard bit: 4 bits at n = 8, 5 at n = 9 and
+    # 16, 6 at n = 17; the identity and the longest element fill every
+    # field's count range, so their pairs test the fields' top values
+    width = (n - 1).bit_length() + 1
+    assert weyl.bruhat_ranks(n).block == width * (n - 1)
+    rng = random.Random(n)
+    ident, top = weyl.identity(n), tuple(range(n, 0, -1))
+    pairs = [(ident, top), (top, ident), (top, top)]
+    for _ in range(300):
+        u = tuple(rng.sample(range(1, n + 1), n))
+        v = tuple(rng.sample(range(1, n + 1), n))
+        pairs += [(u, v), (u, raised(rng, u)), (ident, u), (u, top)]
+    seen = set()
+    for u, v in pairs:
+        expected = bruhat_leq_ranks(u, v)
+        assert weyl.bruhat_leq(u, v) == expected, (u, v)
+        seen.add(expected)
     assert seen == {True, False}
 
 
