@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import subprocess
@@ -582,6 +583,8 @@ def test_cache_dir_that_is_a_file_is_usage_error(tmp_path, capsys, below):
     err = capsys.readouterr().err
     assert err.startswith("flagq: --cache-dir: ") and "Traceback" not in err
     assert cache.read_text() == ""
+    # the table command pauses the cyclic collector; a failed one turns it back on
+    assert gc.isenabled()
 
 
 def test_cache_table_that_is_a_directory_is_usage_error(tmp_path, capsys):
@@ -615,3 +618,15 @@ def test_cli_table_engine_fault_is_internal_error(tmp_path, monkeypatch, capsys)
     assert exit_info.value.code == 3
     assert "negative structure constant" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+    assert gc.isenabled()
+
+
+def test_cli_verify_engine_fault_is_internal_error(monkeypatch, capsys):
+    # the sweep's products pass the same check: a fault below it ends the
+    # paused sweep with exit 3, and the collector is back on after it
+    plants.negate_engine(monkeypatch)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "seidel", "--n", "3"])
+    assert exit_info.value.code == 3
+    assert "negative structure constant" in capsys.readouterr().err
+    assert gc.isenabled()
